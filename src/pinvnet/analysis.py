@@ -126,9 +126,12 @@ def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
         h = x
         for k in range(1, cfg.max_depth + 1):
             if k >= 2:
-                h = apply(cfg.activation, h @ _pinv_array(h, _AUTO))
+                h = apply(cfg.activation, h @ h_dag)
+            # one factorization of H_k serves the probe at depth k and the
+            # chain step to depth k + 1
+            h_dag = _pinv_array(h, _AUTO)
             x0 = x0_d if k == 1 else x0_m
-            v = float(x0 @ (_pinv_array(h, _AUTO) @ eps))
+            v = float(x0 @ (h_dag @ eps))
             vals[k - 1, t] = v * v
     dims = tuple(cfg.d if k == 1 else cfg.m for k in range(1, cfg.max_depth + 1))
     return VarianceReport(

@@ -93,34 +93,27 @@ class TrainReport:
     intermediates: Optional[list] = None
 
 
-def _back_chain(y, eff_weights_desc, acts_desc, skip_first_inverse,
-                clamp_margin, opts):
-    """Pull y back through (W, g) pairs given in output-to-inner order.
-
-    Each step applies the functional inverse g_j (skipped for the first
-    pair when the output layer is linear) and then right-multiplies by the
-    pseudoinverse of W_j. Returns (target, clamped entry count).
-    """
-    t = y
+def _pull_step(t, wj, gj, skip_inverse, clamp_margin, opts):
+    """One back-chain step through layer j: the functional inverse g_j
+    (skipped for a linear output layer), then a right-multiply by the
+    pseudoinverse of W_j. Returns (target, clamped entry count)."""
     clamped = 0
-    for idx, (wj, gj) in enumerate(zip(eff_weights_desc, acts_desc)):
-        if not (idx == 0 and skip_first_inverse):
-            t, c = invert_with_count(gj, t, clamp_margin)
-            clamped += c
-        t = t @ _pinv_array(as_array(wj), opts)
-    return t, clamped
+    if not skip_inverse:
+        t, clamped = invert_with_count(gj, t, clamp_margin)
+    return t @ _pinv_array(wj, opts), clamped
 
 
 def back_target(y, weights_after, activations_after, linear_output,
                 clamp_margin=1e-9, pinv_opts: PinvOptions = None) -> Matrix:
     """Back-propagated target for a layer, given the downstream weights in
     output-to-inner order. The layer's own inverse is not applied here."""
-    yarr = as_array(y, "y")
+    t = as_array(y, "y")
     if len(weights_after) != len(activations_after):
         raise InvalidArgumentError("weights_after / activations_after mismatch")
     opts = pinv_opts if pinv_opts is not None else PinvOptions()
-    t, _ = _back_chain(yarr, list(weights_after), list(activations_after),
-                       linear_output, clamp_margin, opts)
+    for idx, (wj, gj) in enumerate(zip(weights_after, activations_after)):
+        t, _ = _pull_step(t, as_array(wj, "weights_after"), gj,
+                          idx == 0 and linear_output, clamp_margin, opts)
     return Matrix(t)
 
 
@@ -169,10 +162,22 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     like that layer's weight, from a generator seeded by cfg.init.seed.
     Each layer's weight is then the pseudoinverse of its design matrix
     times its back-propagated target; solved layers replace their
-    placeholders in all later targets. data_matrix init sets every
-    non-output weight to the pseudoinverse of its design matrix (hidden
-    widths must equal the sample count) and solves only the output layer
-    against data.
+    placeholders in all later targets.
+
+    Two prefix caches keep each factorization to one: the design of
+    every layer up to the next one solved, carried forward from aug(x),
+    and y pulled back through the output-side layers, carried backward
+    with its cumulative clamp count. Solving layer k drops the designs
+    of the layers after k and every pull-back through layer k; each
+    missing entry is rebuilt from its neighbour with the same operations
+    in the same order as a from-scratch rebuild, so results are bit for
+    bit those of rebuilding everything per layer. The default order
+    makes 2n - 1 pseudoinverse factorizations (n - 1 placeholders, n
+    solves) instead of n(n + 1) / 2; masked layers factorize per column.
+
+    data_matrix init sets every non-output weight to the pseudoinverse of
+    its design matrix (hidden widths must equal the sample count) and
+    solves only the output layer against data.
     """
     t_start = time.perf_counter()
     x = as_array(x_raw, "x_raw")
@@ -233,12 +238,13 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     else:
         rng = np.random.default_rng(cfg.init.seed)
         c = cfg.init.scale_c
-        placeholders: dict = {}
+        # w[j] is layer j's placeholder until layer j is solved, then its weight
+        w: List[Optional[np.ndarray]] = [None] * (n + 1)
         for k in range(2, n + 1):
             r = rng.uniform(-1.0, 1.0, (spec.in_dims[k - 1], spec.widths[k - 1])) * c
             if masks[k - 1] is not None:
                 r = np.where(masks[k - 1], r, 0.0)
-            placeholders[k] = r
+            w[k] = r
         order = _solve_order(spec, cfg.init)
         if order[0] != 1:
             # custom orders that defer layer 1 need a placeholder for it on
@@ -247,21 +253,24 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             r1 = rng.uniform(-1.0, 1.0, (spec.in_dims[0], spec.widths[0])) * c
             if masks[0] is not None:
                 r1 = np.where(masks[0], r1, 0.0)
-            placeholders[1] = r1
+            w[1] = r1
 
-        current: List[Optional[np.ndarray]] = [None] * (n + 1)
-
-        def eff(j: int) -> np.ndarray:
-            return current[j] if current[j] is not None else placeholders[j]
-
+        # designs[j - 1] is layer j's input; pulled[i] is (y pulled back
+        # through layers n..n+1-i, cumulative clamp count)
+        designs = [xa]
+        pulled = [(yarr, 0)]
         for k in order:
-            a = xa
-            for j in range(1, k):
-                a = _apply(acts[j - 1], a @ eff(j))
-            desc_w = [eff(j) for j in range(n, k, -1)]
-            desc_g = [acts[j - 1] for j in range(n, k, -1)]
-            t, clamped = _back_chain(yarr, desc_w, desc_g, spec.linear_output,
-                                     margin, opts)
+            while len(designs) < k:
+                j = len(designs)
+                designs.append(_apply(acts[j - 1], designs[-1] @ w[j]))
+            while len(pulled) <= n - k:
+                j = n + 1 - len(pulled)
+                t, clamped = pulled[-1]
+                t, c1 = _pull_step(t, w[j], acts[j - 1],
+                                   j == n and spec.linear_output, margin, opts)
+                pulled.append((t, clamped + c1))
+            a = designs[k - 1]
+            t, clamped = pulled[n - k]
             if not (k == n and spec.linear_output):
                 t, c2 = invert_with_count(acts[k - 1], t, margin)
                 clamped += c2
@@ -269,14 +278,18 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
                 wk = solve_masked_layer(a, t, masks[k - 1], opts).array
             else:
                 wk = _pinv_array(a, opts) @ t
-            current[k] = wk
+            w[k] = wk
+            # layer k now differs from its placeholder: drop every cached
+            # design computed through it and every pull-back through it
+            del designs[k:]
+            del pulled[n + 1 - k:]
             residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
             counts[k - 1] = clamped
             if intermediates is not None:
                 intermediates.append(
                     {"layer": k, "design": Matrix(a), "target": Matrix(t)}
                 )
-        weights = WeightSet([Matrix(current[k]) for k in range(1, n + 1)], masks)
+        weights = WeightSet([Matrix(wk) for wk in w[1:]], masks)
 
     out = forward(spec, weights, x)
     report = TrainReport(

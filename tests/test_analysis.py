@@ -128,3 +128,17 @@ def test_variance_csv_rows_are_depth_mean_std(tmp_path):
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(report.per_depth_mean[0])
     assert float(first[2]) == pytest.approx(report.per_depth_std[0])
+
+
+def test_mc_output_variance_factorizes_each_depth_once(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cfg = VarianceConfig(m=12, d=3, trials=3, max_depth=4, seed=1)
+    mc_output_variance(cfg)
+    assert len(calls) == cfg.trials * cfg.max_depth

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pinvnet.activations import ActivationKind, apply, invert
+from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
 from pinvnet.errors import DomainViolationError, InvalidConfigurationError
-from pinvnet.linalg import Matrix, PinvOptions, pinv, sse
+from pinvnet.linalg import Matrix, PinvOptions, _pinv_array, pinv, sse
 from pinvnet.network import augment, build_spec, default_masks, forward
 from pinvnet.training import (
     InitScheme,
@@ -252,3 +252,123 @@ def test_forward_after_training_matches_reported_sse():
     report = train(spec, x, y, TrainConfig(InitScheme.random(5, 0.5)))
     g = forward(spec, report.weights, x)
     assert report.train_sse == pytest.approx(sse(g, y), rel=1e-12)
+
+
+def _reference_train(spec, x, y, cfg):
+    """The direct random-init algorithm: every layer rebuilds its design
+    from aug(x) and re-pseudoinverts every downstream weight, n(n+1)/2
+    factorizations in the default order. Returns (weights, residuals,
+    clamp counts, intermediates) as plain arrays."""
+    n = spec.n_layers
+    acts = [layer.activation for layer in spec.layers]
+    masks = default_masks(spec)
+    xa = augment(x)
+    opts, margin = cfg.pinv_opts, cfg.clamp_margin
+    rng = np.random.default_rng(cfg.init.seed)
+    c = cfg.init.scale_c
+
+    def draw(k):
+        r = rng.uniform(-1.0, 1.0, (spec.in_dims[k - 1], spec.widths[k - 1])) * c
+        return r if masks[k - 1] is None else np.where(masks[k - 1], r, 0.0)
+
+    placeholders = {k: draw(k) for k in range(2, n + 1)}
+    order = [*(cfg.init.solve_order or range(1, n)), n]
+    if order[0] != 1:
+        placeholders[1] = draw(1)
+    current = {}
+
+    def eff(j):
+        return current.get(j, placeholders.get(j))
+
+    residuals, counts, inter = [0.0] * n, [0] * n, []
+    for k in order:
+        a = xa
+        for j in range(1, k):
+            a = apply(acts[j - 1], a @ eff(j))
+        t, clamped = y, 0
+        for j in range(n, k, -1):
+            if not (j == n and spec.linear_output):
+                t, cj = invert_with_count(acts[j - 1], t, margin)
+                clamped += cj
+            t = t @ _pinv_array(eff(j), opts)
+        if not (k == n and spec.linear_output):
+            t, cj = invert_with_count(acts[k - 1], t, margin)
+            clamped += cj
+        if masks[k - 1] is not None:
+            wk = solve_masked_layer(a, t, masks[k - 1], opts).array
+        else:
+            wk = _pinv_array(a, opts) @ t
+        current[k] = wk
+        residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
+        counts[k - 1] = clamped
+        inter.append((k, a, t))
+    return [current[k] for k in range(1, n + 1)], residuals, counts, inter
+
+
+def _bit_identity_data():
+    rng = np.random.default_rng(21)
+    return rng.uniform(-1, 1, (20, 3)), rng.uniform(0.2, 1.5, (20, 2))
+
+
+@pytest.mark.parametrize(
+    "structure, linear_output, order, opts",
+    [
+        ("9-7-5-2", False, None, PinvOptions()),
+        ("9-7-5-2", False, (3, 2, 1), PinvOptions()),
+        ("9-7-5-4-2", False, (2, 1, 3, 4), PinvOptions()),
+        ("12-8^r3-6-2", False, None, PinvOptions()),
+        ("12-8^r3-6-2", False, (2, 3, 1), PinvOptions()),
+        ("9-7-5-2", True, None, PinvOptions()),
+        ("9-7-5-2", True, (3, 1, 2), PinvOptions()),
+        ("9-7-5-2", False, None, PinvOptions.explicit(0.0)),
+        ("9-7-5-2", False, (2, 1, 3), PinvOptions.automatic(1e-2)),
+    ],
+)
+def test_cached_train_is_bit_identical_to_the_direct_algorithm(
+    structure, linear_output, order, opts
+):
+    x, y = _bit_identity_data()
+    spec = build_spec(structure, 3, SP, linear_output=linear_output)
+    cfg = TrainConfig(InitScheme.random(4, 0.7, order), opts,
+                      record_intermediates=True)
+    report = train(spec, x, y, cfg)
+    weights, residuals, counts, inter = _reference_train(spec, x, y, cfg)
+    for got, want in zip(report.weights.weights, weights):
+        assert np.array_equal(got.array, want)
+    assert report.per_layer_solve_residuals == residuals
+    assert report.clamped_entry_counts == counts
+    assert len(report.intermediates) == len(inter)
+    for got, (k, a, t) in zip(report.intermediates, inter):
+        assert got["layer"] == k
+        assert np.array_equal(got["design"].array, a)
+        assert np.array_equal(got["target"].array, t)
+
+
+def test_cached_train_raises_like_the_direct_algorithm_without_clamping():
+    x, y = _bit_identity_data()
+    spec = build_spec("9-7-5-2", 3, SP, linear_output=False)
+    cfg = TrainConfig(InitScheme.random(4, 0.7), clamp_margin=None)
+    with pytest.raises(DomainViolationError) as got:
+        train(spec, x, y, cfg)
+    with pytest.raises(DomainViolationError) as want:
+        _reference_train(spec, x, y, cfg)
+    assert type(got.value) is type(want.value)
+    assert (got.value.position, got.value.value) == (
+        want.value.position, want.value.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_default_order_train_factorizes_2n_minus_1_times(n, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    x, y = _bit_identity_data()
+    structure = "-".join(["9", "8", "7", "6"][: n - 1] + ["2"])
+    spec = build_spec(structure, 3, SP, linear_output=False)
+    train(spec, x, y, TrainConfig(InitScheme.random(4, 0.7)))
+    assert len(calls) == 2 * n - 1
