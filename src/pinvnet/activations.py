@@ -52,10 +52,6 @@ class ActivationKind:
         return cls("exp_scaled", alpha)
 
     @property
-    def invertible(self) -> bool:
-        return True
-
-    @property
     def lower_bound(self) -> float:
         """Infimum of the range; the inverse domain is (lower_bound, inf)."""
         if self.variant == "identity":

@@ -95,16 +95,24 @@ class VarianceReport:
     x0_dims: Tuple[int, ...]
 
 
+def _projection_chain(h: np.ndarray, activation: ActivationKind, max_depth: int):
+    """Yield (H_k, H_k^dagger) for k = 1..max_depth, H_1 = h and
+    H_{k+1} = f(H_k H_k^dagger). Each H_k is factorized once: the
+    pseudoinverse the caller sees at depth k is the one the step to
+    depth k + 1 uses."""
+    for k in range(1, max_depth + 1):
+        if k >= 2:
+            h = apply(activation, h @ h_dag)
+        h_dag = _pinv_array(h, _AUTO)
+        yield h, h_dag
+
+
 def variance_chain(x_aug, activation: ActivationKind, max_depth: int):
     """[H_1 .. H_max_depth] with H_1 = X and H_{k+1} = f(H_k H_k^dagger)."""
     if max_depth < 1:
         raise InvalidArgumentError("max_depth must be >= 1")
-    h = as_array(x_aug, "x_aug")
-    chain = [Matrix(h)]
-    for _ in range(max_depth - 1):
-        h = apply(activation, h @ _pinv_array(h, _AUTO))
-        chain.append(Matrix(h))
-    return chain
+    chain = _projection_chain(as_array(x_aug, "x_aug"), activation, max_depth)
+    return [Matrix(h) for h, _ in chain]
 
 
 def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
@@ -123,13 +131,8 @@ def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
         eps = child.uniform(-1.0, 1.0, cfg.m) * cfg.noise_scale
         x0_d = child.uniform(lo, hi, cfg.d)
         x0_m = child.uniform(lo, hi, cfg.m)
-        h = x
-        for k in range(1, cfg.max_depth + 1):
-            if k >= 2:
-                h = apply(cfg.activation, h @ h_dag)
-            # one factorization of H_k serves the probe at depth k and the
-            # chain step to depth k + 1
-            h_dag = _pinv_array(h, _AUTO)
+        chain = _projection_chain(x, cfg.activation, cfg.max_depth)
+        for k, (_, h_dag) in enumerate(chain, start=1):
             x0 = x0_d if k == 1 else x0_m
             v = float(x0 @ (h_dag @ eps))
             vals[k - 1, t] = v * v

@@ -12,7 +12,6 @@ dashes replaced by underscores; explicit command line flags win.
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import json
 import sys
 import time
@@ -167,43 +166,13 @@ def _label_column(merged):
         return text
 
 
-def _infer_task(path, label_column, header):
-    """classification when any label cell fails float parsing."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in _csv.reader(fh) if r]
-    if not rows:
-        raise CsvParseError("no data rows", line=1)
-    start = 1 if header else 0
-    if isinstance(label_column, str):
-        if not header or label_column not in rows[0]:
-            raise InvalidConfigurationError(
-                f"label column {label_column!r} needs a matching header"
-            )
-        idx = rows[0].index(label_column)
-    else:
-        idx = label_column % len(rows[0])
-    for row in rows[start:]:
-        cell = row[idx].strip()
-        if cell.lower() in ("", "?", "na", "nan"):
-            continue
-        try:
-            float(cell)
-        except ValueError:
-            return "classification"
-    return "regression"
-
-
 def _load_dataset(merged):
-    label = _label_column(merged)
-    task = merged["task"]
-    if task == "auto":
-        task = _infer_task(merged["data"], label, bool(merged["header"]))
     return load_csv(
         merged["data"],
-        label_column=label,
+        label_column=_label_column(merged),
         header=bool(merged["header"]),
         missing_policy=merged["missing"],
-        kind=task,
+        kind=merged["task"],
     )
 
 
@@ -215,7 +184,7 @@ def cmd_train(args) -> int:
     activation = parse_kind(merged["activation"])
     linear = bool(merged["linear_output"])
     spec = build_spec(merged["structure"], ds.x.cols, activation, linear)
-    targets = training_targets(ds, linear) if ds.kind == "classification" else ds.y
+    targets = training_targets(ds, linear)
     if merged["init"] == "data_matrix":
         scheme = InitScheme.data_matrix()
     elif merged["init"] == "random":

@@ -178,11 +178,13 @@ def load_csv(path, label_column=-1, header: bool = False,
     categorical or label cells always drop the row. label_column is an
     index (negative allowed) or, with header=True, a column name.
     kind "classification" one-hot encodes the labels; "regression" parses
-    them as float targets.
+    them as float targets; "auto" picks regression when every present
+    label cell parses as a float, over all data rows, and classification
+    otherwise.
     """
     if missing_policy not in ("drop", "mean-impute"):
         raise InvalidConfigurationError(f"unknown missing_policy {missing_policy!r}")
-    if kind not in ("classification", "regression"):
+    if kind not in ("classification", "regression", "auto"):
         raise InvalidConfigurationError(f"unknown dataset kind {kind!r}")
     rows: List[List[str]] = []
     names: Optional[List[str]] = None
@@ -217,18 +219,22 @@ def load_csv(path, label_column=-1, header: bool = False,
             )
         label_idx = names.index(label_column)
     else:
-        label_idx = int(label_column) % ncols
-        if not 0 <= label_idx < ncols:
-            raise InvalidConfigurationError(f"label column {label_column} out of range")
+        label_idx = int(label_column)
+        if not -ncols <= label_idx < ncols:
+            raise InvalidConfigurationError(
+                f"label column {label_column} out of range for {ncols} columns"
+            )
+        label_idx %= ncols
 
     feat_idx = [j for j in range(ncols) if j != label_idx]
 
-    # a feature column is numeric iff every present cell parses as float
-    numeric = {}
-    for j in feat_idx:
-        numeric[j] = all(
-            _is_missing(r[j]) or _parse_float(r[j]) is not None for r in rows
-        )
+    # a column is numeric iff every present cell parses as float
+    numeric = [
+        all(_is_missing(r[j]) or _parse_float(r[j]) is not None for r in rows)
+        for j in range(ncols)
+    ]
+    if kind == "auto":
+        kind = "regression" if numeric[label_idx] else "classification"
 
     kept: List[List[str]] = []
     for r in rows:

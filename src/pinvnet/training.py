@@ -158,11 +158,17 @@ def _solve_order(spec: NetworkSpec, init: InitScheme):
 def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     """Solve every layer of `spec` once, in closed form.
 
-    Random init draws a placeholder for each layer after the first, shaped
-    like that layer's weight, from a generator seeded by cfg.init.seed.
-    Each layer's weight is then the pseudoinverse of its design matrix
-    times its back-propagated target; solved layers replace their
-    placeholders in all later targets.
+    Both init schemes run the same loop over the solve order; they differ
+    only in how they initialize. Random init draws a placeholder for each
+    layer after the first, shaped like that layer's weight, from a
+    generator seeded by cfg.init.seed. Each layer's weight is then the
+    pseudoinverse of its design matrix times its back-propagated target;
+    solved layers replace their placeholders in all later targets.
+    data_matrix init draws nothing and solves in order: each hidden layer
+    k < n solves A W = I, so W_k is the pseudoinverse of its design
+    (hidden widths must equal the sample count; the residual reported is
+    ||A W_k - I||), and the output layer solves against the data like any
+    random-init layer.
 
     Two prefix caches keep each factorization to one: the design of
     every layer up to the next one solved, carried forward from aug(x),
@@ -173,11 +179,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     in the same order as a from-scratch rebuild, so results are bit for
     bit those of rebuilding everything per layer. The default order
     makes 2n - 1 pseudoinverse factorizations (n - 1 placeholders, n
-    solves) instead of n(n + 1) / 2; masked layers factorize per column.
-
-    data_matrix init sets every non-output weight to the pseudoinverse of
-    its design matrix (hidden widths must equal the sample count) and
-    solves only the output layer against data.
+    solves) instead of n(n + 1) / 2, data_matrix init makes n; masked
+    layers factorize per column.
     """
     t_start = time.perf_counter()
     x = as_array(x_raw, "x_raw")
@@ -205,7 +208,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     residuals: List[float] = [0.0] * n
     counts: List[int] = [0] * n
 
-    if cfg.init.kind == "data_matrix":
+    data_matrix = cfg.init.kind == "data_matrix"
+    if data_matrix:
         for h in spec.widths[:-1]:
             if h != m:
                 raise InvalidConfigurationError(
@@ -216,60 +220,48 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             raise InvalidConfigurationError(
                 "banded layers cannot hold pseudoinverse-valued weights"
             )
-        solved: List[np.ndarray] = []
-        a = xa
-        for k in range(1, n):
-            wk = _pinv_array(a, opts)
-            residuals[k - 1] = float(np.linalg.norm(a @ wk - np.eye(m)))
-            if intermediates is not None:
-                intermediates.append({"layer": k, "design": Matrix(a)})
-            solved.append(wk)
-            a = _apply(acts[k - 1], a @ wk)
-        t = yarr
-        if not spec.linear_output:
-            t, c = invert_with_count(acts[n - 1], t, margin)
-            counts[n - 1] = c
-        wn = _pinv_array(a, opts) @ t
-        residuals[n - 1] = float(np.linalg.norm(a @ wn - t))
-        if intermediates is not None:
-            intermediates.append({"layer": n, "design": Matrix(a), "target": Matrix(t)})
-        solved.append(wn)
-        weights = WeightSet([Matrix(wk) for wk in solved], masks)
-    else:
-        rng = np.random.default_rng(cfg.init.seed)
-        c = cfg.init.scale_c
-        # w[j] is layer j's placeholder until layer j is solved, then its weight
-        w: List[Optional[np.ndarray]] = [None] * (n + 1)
-        for k in range(2, n + 1):
-            r = rng.uniform(-1.0, 1.0, (spec.in_dims[k - 1], spec.widths[k - 1])) * c
-            if masks[k - 1] is not None:
-                r = np.where(masks[k - 1], r, 0.0)
-            w[k] = r
-        order = _solve_order(spec, cfg.init)
-        if order[0] != 1:
-            # custom orders that defer layer 1 need a placeholder for it on
-            # the design side; drawn after the others so forward-order runs
-            # consume exactly the same stream
-            r1 = rng.uniform(-1.0, 1.0, (spec.in_dims[0], spec.widths[0])) * c
-            if masks[0] is not None:
-                r1 = np.where(masks[0], r1, 0.0)
-            w[1] = r1
 
-        # designs[j - 1] is layer j's input; pulled[i] is (y pulled back
-        # through layers n..n+1-i, cumulative clamp count)
-        designs = [xa]
-        pulled = [(yarr, 0)]
-        for k in order:
-            while len(designs) < k:
-                j = len(designs)
-                designs.append(_apply(acts[j - 1], designs[-1] @ w[j]))
+    rng = np.random.default_rng(cfg.init.seed)
+
+    def draw(k):
+        shape = (spec.in_dims[k - 1], spec.widths[k - 1])
+        r = rng.uniform(-1.0, 1.0, shape) * cfg.init.scale_c
+        return r if masks[k - 1] is None else np.where(masks[k - 1], r, 0.0)
+
+    # w[j] is layer j's placeholder until layer j is solved, then its weight;
+    # data_matrix init solves in order and never reads a placeholder
+    w: List[Optional[np.ndarray]] = [None] * (n + 1)
+    if not data_matrix:
+        for k in range(2, n + 1):
+            w[k] = draw(k)
+    order = _solve_order(spec, cfg.init)
+    if order[0] != 1:
+        # custom orders that defer layer 1 need a placeholder for it on
+        # the design side; drawn after the others so forward-order runs
+        # consume exactly the same stream
+        w[1] = draw(1)
+
+    # designs[j - 1] is layer j's input; pulled[i] is (y pulled back
+    # through layers n..n+1-i, cumulative clamp count)
+    designs = [xa]
+    pulled = [(yarr, 0)]
+    for k in order:
+        while len(designs) < k:
+            j = len(designs)
+            designs.append(_apply(acts[j - 1], designs[-1] @ w[j]))
+        a = designs[k - 1]
+        solves_identity = data_matrix and k < n
+        if solves_identity:
+            # W_k solves A W = I: the pseudoinverse of the design itself
+            wk = _pinv_array(a, opts)
+            t, clamped = np.eye(m), 0
+        else:
             while len(pulled) <= n - k:
                 j = n + 1 - len(pulled)
                 t, clamped = pulled[-1]
                 t, c1 = _pull_step(t, w[j], acts[j - 1],
                                    j == n and spec.linear_output, margin, opts)
                 pulled.append((t, clamped + c1))
-            a = designs[k - 1]
             t, clamped = pulled[n - k]
             if not (k == n and spec.linear_output):
                 t, c2 = invert_with_count(acts[k - 1], t, margin)
@@ -278,18 +270,19 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
                 wk = solve_masked_layer(a, t, masks[k - 1], opts).array
             else:
                 wk = _pinv_array(a, opts) @ t
-            w[k] = wk
-            # layer k now differs from its placeholder: drop every cached
-            # design computed through it and every pull-back through it
-            del designs[k:]
-            del pulled[n + 1 - k:]
-            residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
-            counts[k - 1] = clamped
-            if intermediates is not None:
-                intermediates.append(
-                    {"layer": k, "design": Matrix(a), "target": Matrix(t)}
-                )
-        weights = WeightSet([Matrix(wk) for wk in w[1:]], masks)
+        w[k] = wk
+        # layer k now differs from its placeholder: drop every cached
+        # design computed through it and every pull-back through it
+        del designs[k:]
+        del pulled[n + 1 - k:]
+        residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
+        counts[k - 1] = clamped
+        if intermediates is not None:
+            record = {"layer": k, "design": Matrix(a)}
+            if not solves_identity:
+                record["target"] = Matrix(t)
+            intermediates.append(record)
+    weights = WeightSet([Matrix(wk) for wk in w[1:]], masks)
 
     out = forward(spec, weights, x)
     report = TrainReport(

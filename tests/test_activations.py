@@ -118,9 +118,3 @@ def test_parse_rejects_unknown_and_bad_alpha():
         parse_kind("exp:0")
     with pytest.raises(InvalidArgumentError):
         parse_kind("exp:abc")
-
-
-def test_invertibility_flags():
-    assert ActivationKind.softplus08().invertible
-    assert ActivationKind.exp_scaled().invertible
-    assert ActivationKind.identity().invertible

@@ -78,6 +78,28 @@ def test_train_task_auto_detects_regression(tmp_path, capsys):
     assert "train_accuracy" not in report
 
 
+def test_train_named_label_column_matches_a_spaced_header(tmp_path, capsys):
+    p = tmp_path / "iris.csv"
+    rows = [f"{i / 10},{(i % 3) / 5},{'xy'[i % 2]}" for i in range(8)]
+    p.write_text("a, b, species\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    code, _, stderr = _run(capsys, "train", "--data", str(p), "--header",
+                           "--label-column", "species", "--structure", "4-2",
+                           "--out", str(out))
+    assert code == 0, stderr
+    report = json.loads((out / "train_report.json").read_text())
+    assert report["task"] == "classification"
+
+
+@pytest.mark.parametrize("label_column", ["9", "-9"])
+def test_out_of_range_label_column_exits_2(tmp_path, capsys, spiral_csv,
+                                           label_column):
+    code, _, stderr = _run(capsys, "train", "--data", str(spiral_csv),
+                           "--label-column", label_column, "--structure", "4-3",
+                           "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "out of range" in stderr
+
 def test_missing_required_flag_exits_2_with_structured_error(tmp_path, capsys):
     code, _, stderr = _run(capsys, "train", "--structure", "4-1",
                            "--out", str(tmp_path))

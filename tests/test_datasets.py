@@ -103,6 +103,26 @@ def test_load_csv_negative_label_index_counts_from_the_end(tmp_path):
     assert np.array_equal(ds.x.array, [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("label_column", [3, 5, -4, -9])
+def test_load_csv_out_of_range_label_index_is_rejected(tmp_path, label_column):
+    p = tmp_path / "d.csv"
+    p.write_text("x,1.0,2.0\ny,3.0,4.0\n")
+    with pytest.raises(InvalidConfigurationError):
+        load_csv(p, label_column=label_column, kind="classification")
+
+
+def test_load_csv_auto_kind_detects_regression_and_classification(tmp_path):
+    num = tmp_path / "num.csv"
+    num.write_text("1.0,10.5\n2.0,?\n3.0,11.5\n")
+    ds = load_csv(num, kind="auto")
+    assert ds.kind == "regression"
+    assert np.array_equal(ds.y.array, [[10.5], [11.5]])
+    txt = tmp_path / "txt.csv"
+    txt.write_text("1.0,10.5\n2.0,b\n3.0,11.5\n")
+    ds = load_csv(txt, kind="auto")
+    assert ds.kind == "classification"
+    assert ds.class_labels == ("10.5", "11.5", "b")
+
 def test_load_csv_field_count_mismatch_names_the_line(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1.0,2.0,a\n3.0,b\n")

@@ -4,7 +4,7 @@ import pytest
 from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
 from pinvnet.errors import DomainViolationError, InvalidConfigurationError
 from pinvnet.linalg import Matrix, PinvOptions, _pinv_array, pinv, sse
-from pinvnet.network import augment, build_spec, default_masks, forward
+from pinvnet.network import WeightSet, augment, build_spec, default_masks, forward
 from pinvnet.training import (
     InitScheme,
     TrainConfig,
@@ -305,6 +305,32 @@ def _reference_train(spec, x, y, cfg):
     return [current[k] for k in range(1, n + 1)], residuals, counts, inter
 
 
+def _reference_data_matrix_train(spec, x, y, cfg):
+    """The data-matrix algorithm as its own loop: every hidden weight is
+    the pseudoinverse of its design, the output layer solves against y.
+    Returns (weights, residuals, clamp counts, intermediates, train SSE)
+    with plain arrays in the intermediates."""
+    n, m = spec.n_layers, x.shape[0]
+    acts = [layer.activation for layer in spec.layers]
+    opts, margin = cfg.pinv_opts, cfg.clamp_margin
+    residuals, counts, inter, solved = [0.0] * n, [0] * n, [], []
+    a = augment(x)
+    for k in range(1, n):
+        wk = _pinv_array(a, opts)
+        residuals[k - 1] = float(np.linalg.norm(a @ wk - np.eye(m)))
+        inter.append({"layer": k, "design": a})
+        solved.append(wk)
+        a = apply(acts[k - 1], a @ wk)
+    t = y
+    if not spec.linear_output:
+        t, counts[n - 1] = invert_with_count(acts[n - 1], t, margin)
+    wn = _pinv_array(a, opts) @ t
+    residuals[n - 1] = float(np.linalg.norm(a @ wn - t))
+    inter.append({"layer": n, "design": a, "target": t})
+    solved.append(wn)
+    weights = WeightSet([Matrix(w) for w in solved], default_masks(spec))
+    return solved, residuals, counts, inter, sse(forward(spec, weights, x), y)
+
 def _bit_identity_data():
     rng = np.random.default_rng(21)
     return rng.uniform(-1, 1, (20, 3)), rng.uniform(0.2, 1.5, (20, 2))
@@ -357,6 +383,38 @@ def test_cached_train_raises_like_the_direct_algorithm_without_clamping():
         want.value.position, want.value.value)
 
 
+@pytest.mark.parametrize(
+    "structure, linear_output, opts",
+    [
+        ("20-2", False, PinvOptions()),
+        ("20-20-2", False, PinvOptions()),
+        ("20-20-20-2", True, PinvOptions()),
+        ("20-20-2", False, PinvOptions.explicit(0.0)),
+        ("20-20-20-2", False, PinvOptions.automatic(1e-2)),
+    ],
+)
+def test_data_matrix_train_is_bit_identical_to_its_own_loop(
+    structure, linear_output, opts
+):
+    x, y = _bit_identity_data()
+    spec = build_spec(structure, 3, SP, linear_output=linear_output)
+    cfg = TrainConfig(InitScheme.data_matrix(), opts, record_intermediates=True)
+    report = train(spec, x, y, cfg)
+    weights, residuals, counts, inter, train_sse = _reference_data_matrix_train(
+        spec, x, y, cfg)
+    for got, want in zip(report.weights.weights, weights, strict=True):
+        assert np.array_equal(got.array, want)
+    assert report.per_layer_solve_residuals == residuals
+    assert report.clamped_entry_counts == counts
+    assert report.train_sse == train_sse
+    assert len(report.intermediates) == len(inter)
+    for got, want in zip(report.intermediates, inter):
+        assert got.keys() == want.keys()
+        assert got["layer"] == want["layer"]
+        assert np.array_equal(got["design"].array, want["design"])
+        if "target" in want:
+            assert np.array_equal(got["target"].array, want["target"])
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_default_order_train_factorizes_2n_minus_1_times(n, monkeypatch):
     calls = []
@@ -372,3 +430,20 @@ def test_default_order_train_factorizes_2n_minus_1_times(n, monkeypatch):
     spec = build_spec(structure, 3, SP, linear_output=False)
     train(spec, x, y, TrainConfig(InitScheme.random(4, 0.7)))
     assert len(calls) == 2 * n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_data_matrix_train_factorizes_n_times(n, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    x, y = _bit_identity_data()
+    spec = build_spec("-".join(["20"] * (n - 1) + ["2"]), 3, SP,
+                      linear_output=False)
+    train(spec, x, y, TrainConfig(InitScheme.data_matrix()))
+    assert len(calls) == n
