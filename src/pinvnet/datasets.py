@@ -401,16 +401,42 @@ def _spec_for(ds: Dataset, template: str, h: int,
     return build_spec(structure, ds.x.cols, activation, linear_output)
 
 
-def _fit_score(train_ds: Dataset, eval_ds: Dataset, spec: NetworkSpec,
-               cfg: TrainConfig) -> float:
-    """Higher-is-better fold score: accuracy for classification, negative
-    SSE for regression."""
-    t = training_targets(train_ds, spec.linear_output)
-    report = train(spec, train_ds.x, t, cfg)
-    pred = forward(spec, report.weights, eval_ds.x)
-    if eval_ds.kind == "classification":
-        return accuracy(pred, eval_ds)
-    return -sse(pred, eval_ds.y)
+def _split(ds: Dataset, tr_idx, te_idx, linear_output: bool):
+    """One fold: (training Dataset, its solver targets, held-out Dataset)."""
+    tr = ds.subset(tr_idx)
+    return tr, training_targets(tr, linear_output), ds.subset(te_idx)
+
+
+def _fit_score(fold, spec: NetworkSpec, cfg: TrainConfig) -> float:
+    """Higher-is-better score of a fit on a fold's training part against
+    its held-out part: accuracy for classification, negative SSE for
+    regression."""
+    tr, t, held = fold
+    report = train(spec, tr.x, t, cfg)
+    pred = forward(spec, report.weights, held.x)
+    if held.kind == "classification":
+        return accuracy(pred, held)
+    return -sse(pred, held.y)
+
+
+def _inner_mean(folds, spec: NetworkSpec, cfg: TrainConfig, top: float,
+                best: Optional[float]) -> Optional[float]:
+    """Mean score of one candidate over the inner folds, or None as soon
+    as it can no longer exceed best + 1e-12.
+
+    The bound puts every fold not yet scored at the score ceiling `top`.
+    np.mean sums a fixed-length array in a fixed order and rounding is
+    monotone, so the bound is at least the mean the remaining folds
+    would give, also in floating point: a candidate stopped early could
+    not have been selected.
+    """
+    scores: List[float] = []
+    for fold in folds:
+        scores.append(_fit_score(fold, spec, cfg))
+        bound = float(np.mean(scores + [top] * (len(folds) - len(scores))))
+        if best is not None and not bound > best + 1e-12:
+            return None
+    return bound
 
 
 def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
@@ -419,18 +445,31 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     """Nested cross-validated width selection.
 
     For every outer (trial, fold), an inner k-fold on the training portion
-    scores each (template, h) candidate; the candidate with the highest
-    inner mean score (ties toward smaller h, then earlier template) trains
-    on the full training portion and is scored on the held-out fold. The
-    reported h/template is the most frequent selection. Scores are
-    accuracies for classification data and negative SSE for regression.
+    scores each distinct (template, h) candidate; the candidate with the
+    highest inner mean score (ties toward smaller h, then earlier
+    template) trains on the full training portion and is scored on the
+    held-out fold. The reported h/template is the most frequent selection.
+    Scores are accuracies for classification data and negative SSE for
+    regression.
+
+    Candidates are scored fold by fold, and a candidate stops as soon as
+    its mean could not exceed the best so far even if every remaining
+    inner fold scored the ceiling (accuracy 1, or SSE 0). The result is
+    that of scoring every fold; only fits that cannot change the
+    selection are skipped, so an error a skipped fit would raise (for
+    example a domain violation with clamp_margin=None) is not raised.
     """
     if not h_grid:
         raise InvalidArgumentError("empty h grid")
     if not templates:
         raise InvalidArgumentError("no templates")
-    # candidate order doubles as the tie-break: earlier template, smaller h
-    candidates = [(tmpl, int(h)) for tmpl in templates for h in sorted(h_grid)]
+    templates = list(dict.fromkeys(templates))
+    top = 1.0 if ds.kind == "classification" else 0.0
+    # candidate order doubles as the tie-break: smaller h, earlier template
+    candidates = [
+        (tmpl, h, _spec_for(ds, tmpl, h, activation, linear_output))
+        for h in sorted({int(h) for h in h_grid}) for tmpl in templates
+    ]
     grid = np.zeros((plan.trials, plan.folds))
     selections: List[Tuple[str, int]] = []
     for trial in range(plan.trials):
@@ -438,28 +477,25 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
             ds, CvPlan(plan.folds, 1, plan.seed + trial, plan.stratified)
         )
         for f, (tr_idx, te_idx) in enumerate(outer):
-            tr_ds = ds.subset(tr_idx)
-            te_ds = ds.subset(te_idx)
+            fold = _split(ds, tr_idx, te_idx, linear_output)
+            tr_ds = fold[0]
             inner_folds = min(plan.folds, tr_ds.x.rows)
             inner = stratified_kfold(
                 tr_ds,
                 CvPlan(inner_folds, 1, plan.seed + 7919 * trial + 104729 * f,
                        plan.stratified),
             )
+            folds = [_split(tr_ds, i_tr, i_te, linear_output)
+                     for i_tr, i_te in inner]
             best = None
-            for tmpl, h in candidates:
-                spec = _spec_for(ds, tmpl, h, activation, linear_output)
-                scores = [
-                    _fit_score(tr_ds.subset(i_tr), tr_ds.subset(i_te), spec, cfg)
-                    for i_tr, i_te in inner
-                ]
-                score = float(np.mean(scores))
-                if best is None or score > best[0] + 1e-12:
-                    best = (score, tmpl, h)
-            _, tmpl, h = best
+            for tmpl, h, spec in candidates:
+                score = _inner_mean(folds, spec, cfg, top,
+                                    None if best is None else best[0])
+                if score is not None:
+                    best = (score, tmpl, h, spec)
+            _, tmpl, h, spec = best
             selections.append((tmpl, h))
-            spec = _spec_for(ds, tmpl, h, activation, linear_output)
-            grid[trial, f] = _fit_score(tr_ds, te_ds, spec, cfg)
+            grid[trial, f] = _fit_score(fold, spec, cfg)
     counts = Counter(selections)
     best_tmpl, best_h = min(
         counts, key=lambda cand: (-counts[cand], cand[1], templates.index(cand[0]))

@@ -1,9 +1,15 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pinvnet.datasets as datasets_module
 from pinvnet.activations import ActivationKind
+from pinvnet.cli import DEFAULT_GRID
 from pinvnet.datasets import (
     CvPlan,
+    CvResult,
     Dataset,
     accuracy,
     cv_search,
@@ -21,10 +27,12 @@ from pinvnet.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
 )
-from pinvnet.linalg import Matrix
-from pinvnet.training import InitScheme, TrainConfig
+from pinvnet.linalg import Matrix, sse
+from pinvnet.network import build_spec, forward
+from pinvnet.training import InitScheme, TrainConfig, train
 
 SP = ActivationKind.softplus08()
+IRIS = Path(__file__).parent / "data" / "iris_like.csv"
 
 
 def test_gen_regression_clean_points_and_test_grid():
@@ -281,6 +289,131 @@ def test_cv_search_scores_regression_by_error():
     assert result.h in (2, 4)
     # regression scores are negative errors, not accuracies
     assert all(a <= 0.0 for a in result.per_trial_accuracies)
+
+
+def _reference_cv_search(ds, templates, h_grid, plan, cfg, activation,
+                         linear_output=False):
+    """Nested CV that scores every inner fold of every distinct candidate,
+    rebuilding each split per candidate: the search without its early
+    exit, in the candidate order smaller h, then earlier template."""
+    templates = list(dict.fromkeys(templates))
+    q = ds.y.cols
+
+    def fit_score(tr, te, tmpl, h):
+        widths = expand_template(tmpl, h, q)
+        spec = build_spec("-".join(map(str, widths)), ds.x.cols, activation,
+                          linear_output)
+        report = train(spec, tr.x, training_targets(tr, linear_output), cfg)
+        pred = forward(spec, report.weights, te.x)
+        if te.kind == "classification":
+            return accuracy(pred, te)
+        return -sse(pred, te.y)
+
+    grid = np.zeros((plan.trials, plan.folds))
+    selections = []
+    for trial in range(plan.trials):
+        outer = stratified_kfold(
+            ds, CvPlan(plan.folds, 1, plan.seed + trial, plan.stratified))
+        for f, (tr_idx, te_idx) in enumerate(outer):
+            tr_ds, te_ds = ds.subset(tr_idx), ds.subset(te_idx)
+            inner = stratified_kfold(tr_ds, CvPlan(
+                min(plan.folds, tr_ds.x.rows), 1,
+                plan.seed + 7919 * trial + 104729 * f, plan.stratified))
+            best = None
+            for h in sorted({int(v) for v in h_grid}):
+                for tmpl in templates:
+                    score = float(np.mean([
+                        fit_score(tr_ds.subset(i_tr), tr_ds.subset(i_te), tmpl, h)
+                        for i_tr, i_te in inner
+                    ]))
+                    if best is None or score > best[0] + 1e-12:
+                        best = (score, tmpl, h)
+            selections.append(best[1:])
+            grid[trial, f] = fit_score(tr_ds, te_ds, *best[1:])
+    counts = Counter(selections)
+    tmpl, h = min(counts, key=lambda c: (-counts[c], c[1], templates.index(c[0])))
+    return CvResult(h, tmpl, float(grid.mean()),
+                    tuple(float(v) for v in grid.mean(axis=1)),
+                    tuple(tuple(float(v) for v in row) for row in grid),
+                    tuple(selections))
+
+
+def _count_fits(monkeypatch):
+    """Record the first width of every network cv_search trains."""
+    widths = []
+
+    def counting_train(spec, x, y, cfg):
+        widths.append(spec.widths[0])
+        return train(spec, x, y, cfg)
+
+    monkeypatch.setattr(datasets_module, "train", counting_train)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["iris", "spiral", "spiral_two_templates", "regression", "regression_linear"],
+)
+def test_cv_search_early_exit_matches_the_exhaustive_search(case, monkeypatch):
+    grid, templates, linear = [1, 2, 3, 5, 10, 20, 50], ["h-q"], False
+    cfg = TrainConfig(InitScheme.random(0, 0.5))
+    if case == "iris":
+        ds = load_csv(IRIS)
+        grid = list(DEFAULT_GRID)
+        plan = CvPlan(folds=5, trials=2, seed=0)
+    elif case.startswith("spiral"):
+        ds, _ = gen_spiral(3, 40, noise=0.2, seed=2)
+        plan = CvPlan(folds=3, trials=2, seed=1)
+        if case == "spiral_two_templates":
+            templates = ["h-q", "2h-h-q"]
+    else:
+        trains, _ = gen_regression(noisy_sets=1, noise_frac=0.1, seed=3)
+        ds = trains[1]
+        grid = [1, 2, 3, 5, 8]
+        plan = CvPlan(folds=4, trials=2, seed=0, stratified=False)
+        linear = case == "regression_linear"
+    want = _reference_cv_search(ds, templates, grid, plan, cfg, SP, linear)
+    fits = _count_fits(monkeypatch)
+    got = cv_search(ds, templates, grid, plan, cfg, SP, linear)
+    assert got == want
+    every = plan.trials * plan.folds * (len(templates) * len(grid) * plan.folds + 1)
+    assert len(fits) < every
+
+
+def test_cv_search_single_candidate_fits_every_fold(monkeypatch):
+    train_ds, _ = gen_spiral(3, 40, noise=0.2, seed=2)
+    plan = CvPlan(folds=4, trials=2, seed=0)
+    fits = _count_fits(monkeypatch)
+    cv_search(train_ds, ["h-q"], [6], plan, TrainConfig(InitScheme.random(0)), SP)
+    assert len(fits) == plan.trials * plan.folds * (plan.folds + 1)
+
+
+def test_cv_search_ties_go_to_smaller_h_before_earlier_template(monkeypatch):
+    # (h-q, h=2) and (2h-h-q, h=1) both start with a width-2 layer and tie
+    # exactly at the top score; every other candidate scores lower
+    def fake_fit_score(fold, spec, cfg):
+        return 1.0 if spec.widths[0] == 2 else 0.5
+
+    monkeypatch.setattr(datasets_module, "_fit_score", fake_fit_score)
+    train_ds, _ = gen_spiral(3, 10, seed=0)
+    result = cv_search(train_ds, ["h-q", "2h-h-q"], [1, 2], CvPlan(3, 1, 0),
+                       TrainConfig(InitScheme.random(0)), SP)
+    assert (result.template, result.h) == ("2h-h-q", 1)
+    assert set(result.selections) == {("2h-h-q", 1)}
+
+
+def test_cv_search_fits_duplicate_grid_values_once(monkeypatch):
+    train_ds, _ = gen_spiral(3, 40, noise=0.2, seed=2)
+    plan = CvPlan(folds=3, trials=1, seed=0)
+    cfg = TrainConfig(InitScheme.random(0, 0.5))
+    fits = _count_fits(monkeypatch)
+    unique = cv_search(train_ds, ["h-q"], [2, 5], plan, cfg, SP)
+    unique_fits = Counter(fits)
+    fits.clear()
+    twice = cv_search(train_ds, ["h-q", "h-q"], [5, 5, 2], plan, cfg, SP)
+    assert twice == unique
+    assert Counter(fits) == unique_fits
+    assert unique_fits[5] > 0
 
 
 def test_write_dataset_csv_round_trips_through_load(tmp_path):

@@ -254,6 +254,34 @@ def test_forward_after_training_matches_reported_sse():
     assert report.train_sse == pytest.approx(sse(g, y), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "structure, linear_output, init, opts, shape",
+    [
+        ("9-7-5-2", False, InitScheme.random(4, 0.7), PinvOptions(), (20, 3)),
+        ("9-7-5-2", True, InitScheme.random(4, 0.7), PinvOptions(), (20, 3)),
+        ("12-8^r3-6^r5-2", False, InitScheme.random(4, 0.7), PinvOptions(),
+         (20, 3)),
+        ("9-7-5-2", False, InitScheme.random(4, 0.7, (3, 1, 2)),
+         PinvOptions.explicit(0.0), (20, 3)),
+        ("20-20-2", False, InitScheme.data_matrix(), PinvOptions(), (20, 3)),
+        ("20-20-2", True, InitScheme.data_matrix(), PinvOptions(ridge=1e-2),
+         (20, 3)),
+        # wide input: the ridge pseudoinverse of layer 1 is Fortran-ordered
+        ("5-5-2", False, InitScheme.data_matrix(), PinvOptions(ridge=1e-2),
+         (5, 8)),
+    ],
+)
+def test_train_sse_is_the_forward_pass_bit_for_bit(
+    structure, linear_output, init, opts, shape
+):
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1, 1, shape)
+    y = rng.uniform(0.2, 1.5, (shape[0], 2))
+    spec = build_spec(structure, shape[1], SP, linear_output=linear_output)
+    report = train(spec, x, y, TrainConfig(init, opts))
+    assert report.train_sse == sse(forward(spec, report.weights, x), y)
+
+
 def _reference_train(spec, x, y, cfg):
     """The direct random-init algorithm: every layer rebuilds its design
     from aug(x) and re-pseudoinverts every downstream weight, n(n+1)/2
