@@ -18,7 +18,7 @@ def main():
     train_ds, test_ds = pn.gen_spiral(arms=6, per_arm=100, noise=0.3,
                                       seed=seed)
     targets = pn.training_targets(train_ds, linear_output=False)
-    print(f"{train_ds.x.rows} train / {test_ds.x.rows} test points, "
+    print(f"{train_ds.x.shape[0]} train / {test_ds.x.shape[0]} test points, "
           f"seed {seed}")
     print(f"{'h':>5} {'train SSE':>12} {'train acc':>10} {'test acc':>10}")
     for h in (50, 150, 250, 290, 300, 320):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError, InvalidArgumentError
-from .linalg import Matrix, as_array
+from .linalg import as_array
 
 LN_08 = math.log(0.8)
 
@@ -95,10 +95,8 @@ def _apply_array(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
 
 
 def apply(kind: ActivationKind, a):
-    """f(a) entrywise. Returns a Matrix when given one, else an ndarray."""
-    arr = as_array(a, "activation input")
-    out = _apply_array(kind, arr)
-    return Matrix(out) if isinstance(a, Matrix) else out
+    """f(a) entrywise."""
+    return _apply_array(kind, as_array(a, "activation input"))
 
 
 def _invert_array(kind: ActivationKind, y: np.ndarray, clamp_margin):
@@ -144,11 +142,7 @@ def _invert_array(kind: ActivationKind, y: np.ndarray, clamp_margin):
 
 def invert_with_count(kind: ActivationKind, y, clamp_margin=1e-9):
     """g(y) entrywise plus the number of entries raised to the clamp floor."""
-    arr = as_array(y, "inverse input")
-    out, clamped = _invert_array(kind, arr, clamp_margin)
-    if isinstance(y, Matrix):
-        return Matrix(out), clamped
-    return out, clamped
+    return _invert_array(kind, as_array(y, "inverse input"), clamp_margin)
 
 
 def invert(kind: ActivationKind, y, clamp_margin=1e-9):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .activations import ActivationKind, apply
 from .errors import InvalidArgumentError
-from .linalg import EPS, Matrix, PinvOptions, _pinv_array, as_array
+from .linalg import EPS, PinvOptions, _pinv_array, as_array
 
 __all__ = [
     "RepresentationReport",
@@ -112,7 +112,7 @@ def variance_chain(x_aug, activation: ActivationKind, max_depth: int):
     if max_depth < 1:
         raise InvalidArgumentError("max_depth must be >= 1")
     chain = _projection_chain(as_array(x_aug, "x_aug"), activation, max_depth)
-    return [Matrix(h) for h, _ in chain]
+    return [h for h, _ in chain]
 
 
 def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:

@@ -38,7 +38,7 @@ from .errors import (
     InvalidConfigurationError,
     PinvnetError,
 )
-from .linalg import Matrix, PinvOptions, penrose_residual, pinv, write_matrix_csv
+from .linalg import PinvOptions, penrose_residual, pinv, write_matrix_csv
 from .network import build_spec, forward
 from .training import InitScheme, TrainConfig, train
 
@@ -106,7 +106,16 @@ def _resolve(args, defaults):
     from_file = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            from_file = json.load(fh)
+            try:
+                from_file = json.load(fh)
+            except ValueError as exc:
+                raise InvalidConfigurationError(
+                    f"config file {args.config} is not valid JSON: {exc}"
+                ) from None
+        if not isinstance(from_file, dict):
+            raise InvalidConfigurationError(
+                f"config file {args.config} must hold a JSON object"
+            )
         unknown = set(from_file) - set(defaults)
         if unknown:
             raise InvalidConfigurationError(
@@ -150,6 +159,19 @@ def _write_manifest(out: Path, command: str, merged, artifacts):
     _json_dump(manifest, out / "manifest.json")
 
 
+def _numbers(value, kind, key):
+    """A comma-separated flag value, or a list from the config file, as a
+    list of `kind`."""
+    items = value.split(",") if isinstance(value, str) else value
+    try:
+        return [kind(v) for v in items]
+    except (TypeError, ValueError):
+        raise InvalidConfigurationError(
+            f"--{key.replace('_', '-')} must be comma-separated "
+            f"{kind.__name__} values, got {value!r}"
+        ) from None
+
+
 def _pinv_opts(merged) -> PinvOptions:
     tol = str(merged["tolerance"])
     ridge = float(merged["ridge"])
@@ -183,14 +205,14 @@ def cmd_train(args) -> int:
     ds = _load_dataset(merged)
     activation = parse_kind(merged["activation"])
     linear = bool(merged["linear_output"])
-    spec = build_spec(merged["structure"], ds.x.cols, activation, linear)
+    spec = build_spec(merged["structure"], ds.x.shape[1], activation, linear)
     targets = training_targets(ds, linear)
     if merged["init"] == "data_matrix":
         scheme = InitScheme.data_matrix()
     elif merged["init"] == "random":
         order = merged["solve_order"]
-        if isinstance(order, str):
-            order = tuple(int(v) for v in order.split(","))
+        if order is not None:
+            order = _numbers(order, int, "solve_order")
         scheme = InitScheme.random(int(merged["seed"]), float(merged["c"]), order)
     else:
         raise InvalidConfigurationError(f"unknown init {merged['init']!r}")
@@ -249,11 +271,7 @@ def cmd_cv(args) -> int:
         stratified = False
         merged["stratified"] = False
     grid = merged["grid"]
-    if grid is None:
-        grid = list(DEFAULT_GRID)
-    elif isinstance(grid, str):
-        grid = [int(v) for v in grid.split(",")]
-    grid = [int(v) for v in grid]
+    grid = _numbers(DEFAULT_GRID if grid is None else grid, int, "grid")
     activation = parse_kind(merged["activation"])
     linear = bool(merged["linear_output"])
     plan = CvPlan(int(merged["folds"]), int(merged["trials"]),
@@ -300,8 +318,8 @@ def cmd_synth(args) -> int:
         write_dataset_csv(train_ds, out / "spiral_train.csv")
         write_dataset_csv(test_ds, out / "spiral_test.csv")
         artifacts += ["spiral_train.csv", "spiral_test.csv"]
-        print(f"spiral_train.csv rows {train_ds.x.rows}")
-        print(f"spiral_test.csv rows {test_ds.x.rows}")
+        print(f"spiral_train.csv rows {train_ds.x.shape[0]}")
+        print(f"spiral_test.csv rows {test_ds.x.shape[0]}")
     else:
         trains, test = gen_regression(
             int(merged["noisy_sets"]), float(merged["noise"]), int(merged["seed"]),
@@ -313,7 +331,7 @@ def cmd_synth(args) -> int:
         write_dataset_csv(test, out / "test.csv")
         artifacts.append("test.csv")
         print(f"train files {len(trains)}")
-        print(f"test.csv rows {test.x.rows}")
+        print(f"test.csv rows {test.x.shape[0]}")
     _write_manifest(out, f"synth {which}", merged, artifacts)
     return 0
 
@@ -321,10 +339,12 @@ def cmd_synth(args) -> int:
 def cmd_variance(args) -> int:
     merged = _resolve(args, _VARIANCE_DEFAULTS)
     t0 = time.perf_counter()
-    rng_range = merged["range"]
-    if isinstance(rng_range, str):
-        rng_range = [float(v) for v in rng_range.split(",")]
-    lo, hi = (float(rng_range[0]), float(rng_range[1]))
+    rng_range = _numbers(merged["range"], float, "range")
+    if len(rng_range) != 2:
+        raise InvalidConfigurationError(
+            f"--range must be lo,hi, got {merged['range']!r}"
+        )
+    lo, hi = rng_range
     cfg = VarianceConfig(
         m=int(merged["m"]),
         d=int(merged["d"]),
@@ -353,10 +373,14 @@ def cmd_selfcheck(args) -> int:
         mtext, ntext = str(merged["shapes"]).lower().split("x")
         max_m, max_n = int(mtext), int(ntext)
     except ValueError:
+        max_m = max_n = 0
+    if max_m < 1 or max_n < 1:
         raise InvalidConfigurationError(
             f"--shapes must look like 200x100, got {merged['shapes']!r}"
-        ) from None
+        )
     count = int(merged["count"])
+    if count < 1:
+        raise InvalidConfigurationError(f"--count must be >= 1, got {count}")
     rng = np.random.default_rng(int(merged["seed"]))
     worst_penrose = 0.0
     worst_oracle = 0.0
@@ -369,7 +393,7 @@ def cmd_selfcheck(args) -> int:
             # planted rank deficiency
             r = int(rng.integers(1, min(m, n)))
             a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-        p = pinv(a).array
+        p = pinv(a)
         if merged["inject_fault"] and i == 0:
             p = p * 2.0  # test hook: break the inverse deliberately
         res = penrose_residual(a, p)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .activations import ActivationKind
 from .errors import CsvParseError, InvalidArgumentError, InvalidConfigurationError
-from .linalg import Matrix, as_array, sse
+from .linalg import as_array, sse
 from .network import NetworkSpec, build_spec, forward
 from .training import TrainConfig, train
 
@@ -34,44 +34,47 @@ __all__ = [
 _MISSING = {"", "?", "na", "nan"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    x: Matrix
-    y: Matrix
+    """Features x and targets y as read-only float64 views, validated
+    once at construction. Array fields do not compare or hash like
+    values, so Datasets compare by identity."""
+
+    x: np.ndarray
+    y: np.ndarray
     class_labels: Optional[Tuple[str, ...]] = None
     kind: str = "regression"
 
     def __post_init__(self):
         if self.kind not in ("regression", "classification"):
             raise InvalidArgumentError(f"unknown dataset kind {self.kind!r}")
-        if self.x.rows != self.y.rows:
+        for name in ("x", "y"):
+            view = as_array(getattr(self, name), name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        if self.x.shape[0] != self.y.shape[0]:
             raise InvalidArgumentError("x and y must have the same row count")
         if self.kind == "classification":
-            ya = self.y.array
+            ya = self.y
             # each row must name exactly one class: a unique maximal entry
             top = ya.max(axis=1, keepdims=True)
             if not ((ya == top).sum(axis=1) == 1).all():
                 raise InvalidArgumentError(
                     "classification targets must have one maximal entry per row"
                 )
-            if self.class_labels is not None and len(self.class_labels) != self.y.cols:
-                raise InvalidArgumentError("class_labels length must equal y.cols")
+            if self.class_labels is not None and len(self.class_labels) != ya.shape[1]:
+                raise InvalidArgumentError("class_labels length must equal y's column count")
 
     @property
     def labels(self) -> np.ndarray:
         """Encoded class index per row (classification only)."""
         if self.kind != "classification":
             raise InvalidArgumentError("labels are defined for classification data")
-        return self.y.array.argmax(axis=1)
+        return self.y.argmax(axis=1)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            Matrix(self.x.array[idx]),
-            Matrix(self.y.array[idx]),
-            self.class_labels,
-            self.kind,
-        )
+        return Dataset(self.x[idx], self.y[idx], self.class_labels, self.kind)
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,14 @@ def gen_regression(noisy_sets: int = 0, noise_frac: float = 0.0, seed: int = 0):
         raise InvalidArgumentError("noisy_sets must be >= 0")
     x = np.arange(1.0, 9.0).reshape(-1, 1)
     y = _sinc2(x)
-    trains = [Dataset(Matrix(x), Matrix(y))]
+    trains = [Dataset(x, y)]
     rng = np.random.default_rng(seed)
     amp = noise_frac * float(y.max() - y.min())
     for _ in range(noisy_sets):
         noisy = y + rng.uniform(-amp, amp, y.shape)
-        trains.append(Dataset(Matrix(x), Matrix(noisy)))
+        trains.append(Dataset(x, noisy))
     xt = np.linspace(0.90, 8.10, 721).reshape(-1, 1)
-    test = Dataset(Matrix(xt), Matrix(_sinc2(xt)))
+    test = Dataset(xt, _sinc2(xt))
     return trains, test
 
 
@@ -149,10 +152,8 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
     names = tuple(f"arm{a}" for a in range(arms))
     to_train = np.tile(i % 2 == 1, arms)
     y = encode_targets([int(v) for v in labels], "onehot01")
-    train_ds = Dataset(Matrix(pts[to_train]), Matrix(y.array[to_train]),
-                       names, "classification")
-    test_ds = Dataset(Matrix(pts[~to_train]), Matrix(y.array[~to_train]),
-                      names, "classification")
+    train_ds = Dataset(pts[to_train], y[to_train], names, "classification")
+    test_ds = Dataset(pts[~to_train], y[~to_train], names, "classification")
     return train_ds, test_ds
 
 
@@ -187,16 +188,20 @@ def load_csv(path, label_column=-1, header: bool = False,
     if kind not in ("classification", "regression", "auto"):
         raise InvalidConfigurationError(f"unknown dataset kind {kind!r}")
     rows: List[List[str]] = []
+    line_nos: List[int] = []  # the 1-based file line of each data row
     names: Optional[List[str]] = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
+        for row in reader:
+            # the file line the record ends on, also past quoted newlines
+            line_no = reader.line_num
             if not row:
                 continue
             if header and names is None:
                 names = [c.strip() for c in row]
                 continue
             rows.append([c.strip() for c in row])
+            line_nos.append(line_no)
             if len(rows[0]) != len(row):
                 raise CsvParseError(
                     f"line {line_no}: expected {len(rows[0])} fields, got {len(row)}",
@@ -237,7 +242,8 @@ def load_csv(path, label_column=-1, header: bool = False,
         kind = "regression" if numeric[label_idx] else "classification"
 
     kept: List[List[str]] = []
-    for r in rows:
+    kept_lines: List[int] = []
+    for r, line_no in zip(rows, line_nos):
         hard_missing = _is_missing(r[label_idx]) or any(
             _is_missing(r[j]) and not numeric[j] for j in feat_idx
         )
@@ -246,6 +252,7 @@ def load_csv(path, label_column=-1, header: bool = False,
         if missing_policy == "drop" and any(_is_missing(r[j]) for j in feat_idx):
             continue
         kept.append(r)
+        kept_lines.append(line_no)
     if not kept:
         raise CsvParseError("every row was dropped", line=1)
 
@@ -267,25 +274,26 @@ def load_csv(path, label_column=-1, header: bool = False,
             for i, c in enumerate(cells):
                 block[i, lookup[c]] = 1.0
             cols.append(block)
-    x = Matrix(np.hstack(cols))
+    x = np.hstack(cols)
 
     label_cells = [r[label_idx] for r in kept]
     if kind == "regression":
         vals = []
-        for i, c in enumerate(label_cells):
+        for c, line_no in zip(label_cells, kept_lines):
             v = _parse_float(c)
             if v is None:
                 raise CsvParseError(
-                    f"non-numeric regression target {c!r}", line=i + 1
+                    f"line {line_no}: non-numeric regression target {c!r}",
+                    line=line_no,
                 )
             vals.append(v)
-        return Dataset(x, Matrix(np.array(vals).reshape(-1, 1)), None, "regression")
+        return Dataset(x, np.array(vals).reshape(-1, 1), None, "regression")
     y = encode_targets(label_cells, "onehot01")
     return Dataset(x, y, tuple(sorted(set(label_cells))), "classification")
 
 
 def encode_targets(labels: Sequence, scheme: str = "onehot01",
-                   on: float = 0.9, off: float = 0.1) -> Matrix:
+                   on: float = 0.9, off: float = 0.1) -> np.ndarray:
     """One-hot encode labels over their sorted distinct values.
 
     scheme "onehot01" uses 1/0; "onehot_soft" uses the given on/off values
@@ -303,7 +311,7 @@ def encode_targets(labels: Sequence, scheme: str = "onehot01",
     y = np.full((len(labels), len(classes)), off)
     for i, lab in enumerate(labels):
         y[i, lookup[lab]] = on
-    return Matrix(y)
+    return y
 
 
 def stratified_kfold(ds: Dataset, plan: CvPlan):
@@ -315,7 +323,7 @@ def stratified_kfold(ds: Dataset, plan: CvPlan):
     Classes smaller than the fold count simply miss some folds.
     Unstratified (or regression) data is dealt the same way ignoring class.
     """
-    m = ds.x.rows
+    m = ds.x.shape[0]
     if plan.folds > m:
         raise InvalidArgumentError(f"folds={plan.folds} exceeds samples={m}")
     rng = np.random.default_rng(plan.seed)
@@ -371,7 +379,7 @@ def expand_template(template: str, h: int, q: int) -> Tuple[int, ...]:
     return tuple(widths)
 
 
-def training_targets(ds: Dataset, linear_output: bool) -> Matrix:
+def training_targets(ds: Dataset, linear_output: bool) -> np.ndarray:
     """Targets as the solver needs them: classification labels re-encoded
     to 0.9/0.1 when the output activation must be inverted, raw otherwise."""
     if ds.kind == "classification" and not linear_output:
@@ -391,14 +399,14 @@ class CvResult:
 
 def _spec_for(ds: Dataset, template: str, h: int,
               activation: ActivationKind, linear_output: bool) -> NetworkSpec:
-    q = ds.y.cols
+    q = ds.y.shape[1]
     widths = expand_template(template, h, q)
     if widths[-1] != q:
         raise InvalidConfigurationError(
             f"template {template!r} must end at the target width {q}"
         )
     structure = "-".join(str(w) for w in widths)
-    return build_spec(structure, ds.x.cols, activation, linear_output)
+    return build_spec(structure, ds.x.shape[1], activation, linear_output)
 
 
 def _split(ds: Dataset, tr_idx, te_idx, linear_output: bool):
@@ -479,7 +487,7 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
         for f, (tr_idx, te_idx) in enumerate(outer):
             fold = _split(ds, tr_idx, te_idx, linear_output)
             tr_ds = fold[0]
-            inner_folds = min(plan.folds, tr_ds.x.rows)
+            inner_folds = min(plan.folds, tr_ds.x.shape[0])
             inner = stratified_kfold(
                 tr_ds,
                 CvPlan(inner_folds, 1, plan.seed + 7919 * trial + 104729 * f,
@@ -513,18 +521,16 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Features at full precision plus a trailing label column (class name
     for classification, numeric target otherwise). No header."""
-    xa = ds.x.array
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if ds.kind == "classification":
             names = ds.class_labels or tuple(
-                str(j) for j in range(ds.y.cols)
+                str(j) for j in range(ds.y.shape[1])
             )
-            for row, lab in zip(xa, ds.labels):
+            for row, lab in zip(ds.x, ds.labels):
                 fh.write(",".join("%.17g" % v for v in row))
                 fh.write(f",{names[lab]}\n")
         else:
-            ya = ds.y.array
-            for row, targ in zip(xa, ya):
+            for row, targ in zip(ds.x, ds.y):
                 fh.write(",".join("%.17g" % v for v in row))
                 fh.write(",")
                 fh.write(",".join("%.17g" % v for v in targ))

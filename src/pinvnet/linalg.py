@@ -29,38 +29,22 @@ __all__ = [
 
 
 class Matrix:
-    """Immutable 2-D real matrix.
+    """Read-only 2-D float64 matrix: the type of `WeightSet.weights`
+    entries and of `forward`'s output.
 
-    Thin value wrapper over a read-only float64 ndarray. Constructors reject
-    empty shapes and non-finite entries, so any Matrix in circulation is a
-    valid operand.
+    Every other function takes and returns plain ndarrays. The class
+    remains only because the benchmark reads `.array` on those two
+    results; it goes once the benchmark reads arrays (ROADMAP item 3).
+    The constructor validates through `as_array` and keeps a read-only
+    C-ordered copy.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, data):
-        if isinstance(data, Matrix):
-            self._a = data._a
-            return
-        a = np.array(data, dtype=np.float64, order="C")
-        if a.ndim != 2:
-            raise InvalidArgumentError(
-                f"matrix data must be 2-D, got ndim={a.ndim}"
-            )
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise InvalidArgumentError(f"matrix shape {a.shape} has a zero dimension")
-        if not np.isfinite(a).all():
-            raise InvalidArgumentError("matrix entries must be finite")
+        a = np.array(as_array(data), order="C")
         a.setflags(write=False)
         self._a = a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
 
     @property
     def shape(self):
@@ -68,24 +52,8 @@ class Matrix:
 
     @property
     def array(self) -> np.ndarray:
-        """The underlying read-only ndarray view."""
+        """The underlying read-only ndarray."""
         return self._a
-
-    def tolist(self):
-        return self._a.tolist()
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(
-            np.array_equal(self._a, other._a)
-        )
-
-    def __hash__(self):
-        return hash((self._a.shape, self._a.tobytes()))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
 
 
 def as_array(a, name="matrix") -> np.ndarray:
@@ -160,15 +128,14 @@ def _pinv_array(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
     return (vt[keep].T * (1.0 / s[keep])) @ u[:, keep].T
 
 
-def pinv(a, opts: PinvOptions = _DEFAULT_OPTS) -> Matrix:
+def pinv(a, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD truncation (or ridge closed form).
 
     With ridge=0 the result satisfies the four Penrose conditions within
     numeric tolerance. With ridge=lambda>0 returns (A^T A + lambda I)^-1 A^T
     for tall inputs and the transposed analogue for wide ones.
     """
-    arr = as_array(a, "pinv input")
-    return Matrix(_pinv_array(arr, opts))
+    return _pinv_array(as_array(a, "pinv input"), opts)
 
 
 def penrose_residual(a, a_dag) -> float:
@@ -195,7 +162,7 @@ def penrose_residual(a, a_dag) -> float:
     return float(max(checks)) / scale
 
 
-def solve_least_squares(a, y, opts: PinvOptions = _DEFAULT_OPTS) -> Matrix:
+def solve_least_squares(a, y, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
     """Minimum-norm least-squares solution Theta = A^dagger Y."""
     aa = as_array(a, "a")
     yy = as_array(y, "y")
@@ -203,7 +170,7 @@ def solve_least_squares(a, y, opts: PinvOptions = _DEFAULT_OPTS) -> Matrix:
         raise InvalidArgumentError(
             f"row mismatch: a has {aa.shape[0]} rows, y has {yy.shape[0]}"
         )
-    return Matrix(_pinv_array(aa, opts) @ yy)
+    return _pinv_array(aa, opts) @ yy
 
 
 def sse(g, y) -> float:
@@ -226,9 +193,11 @@ def write_matrix_csv(a, path) -> None:
             fh.write("\n")
 
 
-def read_matrix_csv(path) -> Matrix:
+def read_matrix_csv(path) -> np.ndarray:
+    """Inverse of write_matrix_csv; the values are validated like any
+    other matrix input."""
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse matrix CSV {path}: {exc}") from exc
-    return Matrix(arr)
+    return as_array(arr, f"matrix CSV {path}")

@@ -77,6 +77,7 @@ class NetworkSpec:
 class WeightSet:
     """One weight matrix per layer plus optional boolean masks.
 
+    Each weight is validated once and stored as a read-only Matrix.
     Masked-out entries are forced to exactly zero at construction, so the
     forward pass is invariant to whatever values were stored off-support.
     """
@@ -84,27 +85,23 @@ class WeightSet:
     __slots__ = ("weights", "masks")
 
     def __init__(self, weights, masks=None):
-        ws = []
-        for w in weights:
-            ws.append(w if isinstance(w, Matrix) else Matrix(w))
+        ws = [as_array(w, "weight") for w in weights]
         if masks is None:
             masks = [None] * len(ws)
         if len(masks) != len(ws):
             raise InvalidArgumentError("masks list must match weights list")
         fixed_w, fixed_m = [], []
         for w, mk in zip(ws, masks):
-            if mk is None:
-                fixed_w.append(w)
-                fixed_m.append(None)
-                continue
-            marr = np.asarray(mk, dtype=bool)
-            if marr.shape != w.shape:
-                raise InvalidArgumentError(
-                    f"mask shape {marr.shape} != weight shape {w.shape}"
-                )
-            marr.setflags(write=False)
-            fixed_w.append(Matrix(np.where(marr, w.array, 0.0)))
-            fixed_m.append(marr)
+            if mk is not None:
+                mk = np.array(mk, dtype=bool)  # a copy: the caller's stays writable
+                if mk.shape != w.shape:
+                    raise InvalidArgumentError(
+                        f"mask shape {mk.shape} != weight shape {w.shape}"
+                    )
+                mk.setflags(write=False)
+                w = np.where(mk, w, 0.0)
+            fixed_w.append(Matrix(w))
+            fixed_m.append(mk)
         self.weights = tuple(fixed_w)
         self.masks = tuple(fixed_m)
 
@@ -115,8 +112,7 @@ class WeightSet:
 def augment(x):
     """Prepend a column of ones: m x d -> m x (d+1)."""
     arr = as_array(x, "augment input")
-    out = np.hstack([np.ones((arr.shape[0], 1)), arr])
-    return Matrix(out) if isinstance(x, Matrix) else out
+    return np.hstack([np.ones((arr.shape[0], 1)), arr])
 
 
 def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.ndarray:
@@ -196,12 +192,12 @@ def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
     a = augment(x)
     for k in range(upto_layer):
         a = apply(spec.layers[k].activation, a @ w.weights[k].array)
-    return Matrix(a)
+    return a
 
 
 def forward(spec: NetworkSpec, w: WeightSet, x_raw):
     """Network output on raw (unaugmented) inputs."""
-    a = hidden_activation(spec, w, x_raw, spec.n_layers - 1).array
+    a = hidden_activation(spec, w, x_raw, spec.n_layers - 1)
     z = a @ w.weights[-1].array
     if not spec.linear_output:
         z = apply(spec.layers[-1].activation, z)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .activations import apply as _apply, invert_with_count
 from .errors import InvalidArgumentError, InvalidConfigurationError
-from .linalg import Matrix, PinvOptions, _pinv_array, as_array, sse
+from .linalg import PinvOptions, _pinv_array, as_array, sse
 from .network import NetworkSpec, WeightSet, augment, default_masks
 
 __all__ = [
@@ -90,6 +90,9 @@ class TrainReport:
     per_layer_solve_residuals: List[float]
     clamped_entry_counts: List[int]
     wall_time: float
+    # with record_intermediates, one dict per solve in solve order: the
+    # layer number, its "design" and (except data_matrix hidden layers)
+    # its "target", as arrays
     intermediates: Optional[list] = None
 
 
@@ -104,7 +107,7 @@ def _pull_step(t, wj, gj, skip_inverse, clamp_margin, opts):
 
 
 def back_target(y, weights_after, activations_after, linear_output,
-                clamp_margin=1e-9, pinv_opts: PinvOptions = None) -> Matrix:
+                clamp_margin=1e-9, pinv_opts: PinvOptions = None) -> np.ndarray:
     """Back-propagated target for a layer, given the downstream weights in
     output-to-inner order. The layer's own inverse is not applied here."""
     t = as_array(y, "y")
@@ -114,10 +117,10 @@ def back_target(y, weights_after, activations_after, linear_output,
     for idx, (wj, gj) in enumerate(zip(weights_after, activations_after)):
         t, _ = _pull_step(t, as_array(wj, "weights_after"), gj,
                           idx == 0 and linear_output, clamp_margin, opts)
-    return Matrix(t)
+    return t
 
 
-def solve_masked_layer(a, t, mask, opts: PinvOptions = None) -> Matrix:
+def solve_masked_layer(a, t, mask, opts: PinvOptions = None) -> np.ndarray:
     """Least-squares weight with support restricted to a boolean mask.
 
     Column j is solved against only the design columns its mask admits;
@@ -140,7 +143,7 @@ def solve_masked_layer(a, t, mask, opts: PinvOptions = None) -> Matrix:
         if support.size == 0:
             continue
         w[support, j] = (_pinv_array(aa[:, support], opts) @ tt[:, j : j + 1]).ravel()
-    return Matrix(w)
+    return w
 
 
 def _solve_order(spec: NetworkSpec, init: InitScheme):
@@ -272,7 +275,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
                 t, c2 = invert_with_count(acts[k - 1], t, margin)
                 clamped += c2
             if masks[k - 1] is not None:
-                wk = solve_masked_layer(a, t, masks[k - 1], opts).array
+                wk = solve_masked_layer(a, t, masks[k - 1], opts)
             else:
                 wk = _pinv_array(a, opts) @ t
         w[k] = wk
@@ -283,11 +286,11 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
         counts[k - 1] = clamped
         if intermediates is not None:
-            record = {"layer": k, "design": Matrix(a)}
+            record = {"layer": k, "design": a}
             if not solves_identity:
-                record["target"] = Matrix(t)
+                record["target"] = t
             intermediates.append(record)
-    weights = WeightSet([Matrix(wk) for wk in w[1:]], masks)
+    weights = WeightSet(w[1:], masks)
 
     # layer n was solved last, so `a` is its design under the final weights
     z = a @ w[n]

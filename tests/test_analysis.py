@@ -71,12 +71,12 @@ def test_variance_chain_follows_the_projection_recursion():
     kind = ActivationKind.exp_scaled(1e-4)
     chain = variance_chain(x, kind, 3)
     assert len(chain) == 3
-    assert np.array_equal(chain[0].array, x)
-    h1 = chain[0].array
-    h2 = apply(kind, h1 @ pinv(h1).array)
-    assert np.allclose(chain[1].array, h2, atol=1e-12)
-    h3 = apply(kind, h2 @ pinv(h2).array)
-    assert np.allclose(chain[2].array, h3, atol=1e-12)
+    assert np.array_equal(chain[0], x)
+    h1 = chain[0]
+    h2 = apply(kind, h1 @ pinv(h1))
+    assert np.allclose(chain[1], h2, atol=1e-12)
+    h3 = apply(kind, h2 @ pinv(h2))
+    assert np.allclose(chain[2], h3, atol=1e-12)
 
 
 def test_mc_output_variance_is_deterministic_and_shaped():
@@ -102,7 +102,7 @@ def test_depth_one_variance_matches_direct_least_squares():
     x = child.uniform(lo, hi, (10, 3))
     eps = child.uniform(-1.0, 1.0, 10) * cfg.noise_scale
     x0 = child.uniform(lo, hi, 3)
-    val = float(x0 @ (pinv(x).array @ eps)) ** 2
+    val = float(x0 @ (pinv(x) @ eps)) ** 2
     assert report.per_depth_mean[0] == pytest.approx(val, rel=1e-12)
 
 

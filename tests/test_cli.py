@@ -203,6 +203,41 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
     assert "FAILED" in stdout
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--structure", "4-3", "--solve-order", "a"], "--solve-order"),
+        (["cv", "--grid", "1,x"], "--grid"),
+        (["variance", "--range", "1,2,3"], "--range"),
+        (["selfcheck", "--shapes", "0x5"], "200x100"),
+        (["selfcheck", "--count", "-2"], "--count"),
+    ],
+    ids=["solve-order", "grid", "range", "shapes", "count"],
+)
+def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
+    if argv[0] in ("train", "cv"):
+        argv = argv + ["--data", str(spiral_csv)]
+    if argv[0] != "selfcheck":
+        argv = argv + ["--out", str(tmp_path)]
+    code, stdout, stderr = _run(capsys, *argv)
+    assert code == 2
+    err = json.loads(stderr.strip().splitlines()[-1])
+    assert err["error"]["type"] == "invalid-input"
+    assert message in err["error"]["message"]
+    assert "selfcheck ok" not in stdout
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"4-3"'],
+                         ids=["invalid", "array", "string"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, spiral_csv, text):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    code, _, stderr = _run(capsys, "train", "--data", str(spiral_csv),
+                           "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 2
+    assert "cfg.json" in stderr
+
+
 def test_bad_shapes_argument_exits_2(capsys):
     code, _, stderr = _run(capsys, "selfcheck", "--shapes", "banana")
     assert code == 2

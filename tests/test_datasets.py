@@ -27,7 +27,7 @@ from pinvnet.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
 )
-from pinvnet.linalg import Matrix, sse
+from pinvnet.linalg import sse
 from pinvnet.network import build_spec, forward
 from pinvnet.training import InitScheme, TrainConfig, train
 
@@ -38,24 +38,24 @@ IRIS = Path(__file__).parent / "data" / "iris_like.csv"
 def test_gen_regression_clean_points_and_test_grid():
     trains, test = gen_regression()
     assert len(trains) == 1
-    x = trains[0].x.array
-    y = trains[0].y.array
+    x = trains[0].x
+    y = trains[0].y
     assert np.array_equal(x.ravel(), np.arange(1.0, 9.0))
     assert np.allclose(y, np.sin(2 * x) / (2 * x), atol=1e-15)
-    assert test.x.rows == 721
-    assert test.x.array[0, 0] == pytest.approx(0.90)
-    assert test.x.array[-1, 0] == pytest.approx(8.10)
+    assert test.x.shape[0] == 721
+    assert test.x[0, 0] == pytest.approx(0.90)
+    assert test.x[-1, 0] == pytest.approx(8.10)
 
 
 def test_gen_regression_noise_amplitude_is_bounded():
     trains, _ = gen_regression(noisy_sets=5, noise_frac=0.1, seed=3)
     assert len(trains) == 6
-    clean = trains[0].y.array
+    clean = trains[0].y
     amp = 0.1 * (clean.max() - clean.min())
     for noisy in trains[1:]:
-        assert np.abs(noisy.y.array - clean).max() <= amp
+        assert np.abs(noisy.y - clean).max() <= amp
     # distinct draws per set
-    assert not np.array_equal(trains[1].y.array, trains[2].y.array)
+    assert not np.array_equal(trains[1].y, trains[2].y)
 
 
 def test_gen_spiral_splits_alternate_samples_evenly():
@@ -65,18 +65,18 @@ def test_gen_spiral_splits_alternate_samples_evenly():
     assert train.y.shape == (300, 6)
     counts = np.bincount(train.labels, minlength=6)
     assert (counts == 50).all()
-    assert sorted(set(train.y.array.ravel())) == [0.0, 1.0]
+    assert sorted(set(train.y.ravel())) == [0.0, 1.0]
     # the coincident origin points sit in the test split
-    radii_train = np.linalg.norm(train.x.array, axis=1)
+    radii_train = np.linalg.norm(train.x, axis=1)
     assert radii_train.min() > 0.0
-    radii_test = np.linalg.norm(test.x.array, axis=1)
+    radii_test = np.linalg.norm(test.x, axis=1)
     assert (radii_test < 1e-12).sum() == 6
 
 
 def test_gen_spiral_is_deterministic_and_validates_arguments():
     a, _ = gen_spiral(3, 10, seed=4)
     b, _ = gen_spiral(3, 10, seed=4)
-    assert np.array_equal(a.x.array, b.x.array)
+    assert np.array_equal(a.x, b.x)
     with pytest.raises(InvalidArgumentError):
         gen_spiral(0, 10)
     with pytest.raises(InvalidArgumentError):
@@ -90,7 +90,7 @@ def test_load_csv_classification_with_trailing_label(tmp_path):
     assert ds.x.shape == (3, 2)
     assert ds.class_labels == ("blue", "red")
     assert list(ds.labels) == [1, 0, 1]
-    assert sorted(set(ds.y.array.ravel())) == [0.0, 1.0]
+    assert sorted(set(ds.y.ravel())) == [0.0, 1.0]
 
 
 def test_load_csv_header_and_named_label_column(tmp_path):
@@ -108,7 +108,7 @@ def test_load_csv_negative_label_index_counts_from_the_end(tmp_path):
     p.write_text("x,1.0,2.0\ny,3.0,4.0\n")
     ds = load_csv(p, label_column=-3, kind="classification")
     assert ds.class_labels == ("x", "y")
-    assert np.array_equal(ds.x.array, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ds.x, [[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize("label_column", [3, 5, -4, -9])
@@ -124,7 +124,7 @@ def test_load_csv_auto_kind_detects_regression_and_classification(tmp_path):
     num.write_text("1.0,10.5\n2.0,?\n3.0,11.5\n")
     ds = load_csv(num, kind="auto")
     assert ds.kind == "regression"
-    assert np.array_equal(ds.y.array, [[10.5], [11.5]])
+    assert np.array_equal(ds.y, [[10.5], [11.5]])
     txt = tmp_path / "txt.csv"
     txt.write_text("1.0,10.5\n2.0,b\n3.0,11.5\n")
     ds = load_csv(txt, kind="auto")
@@ -139,12 +139,23 @@ def test_load_csv_field_count_mismatch_names_the_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_csv_non_numeric_target_names_its_file_line(tmp_path):
+    # the header, a dropped row and a quoted newline sit before the bad
+    # cell: "zz" is on file line 5, though it is the second row kept
+    p = tmp_path / "d.csv"
+    p.write_text('a,b,y\n1,2,3\n?,5,"6\n"\n7,8,zz\n')
+    with pytest.raises(CsvParseError) as err:
+        load_csv(p, header=True, kind="regression")
+    assert err.value.line == 5
+    assert "line 5" in str(err.value)
+
+
 def test_load_csv_missing_cells_drop_policy(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1.0,2.0,a\n?,4.0,b\n5.0,NA,a\n7.0,8.0,b\n")
     ds = load_csv(p, missing_policy="drop", kind="classification")
     assert ds.x.shape == (2, 2)
-    assert np.array_equal(ds.x.array, [[1.0, 2.0], [7.0, 8.0]])
+    assert np.array_equal(ds.x, [[1.0, 2.0], [7.0, 8.0]])
 
 
 def test_load_csv_missing_cells_mean_impute_policy(tmp_path):
@@ -152,15 +163,15 @@ def test_load_csv_missing_cells_mean_impute_policy(tmp_path):
     p.write_text("1.0,2.0,a\n,4.0,b\n3.0,nan,a\n")
     ds = load_csv(p, missing_policy="mean-impute", kind="classification")
     assert ds.x.shape == (3, 2)
-    assert ds.x.array[1, 0] == pytest.approx(2.0)  # mean of 1 and 3
-    assert ds.x.array[2, 1] == pytest.approx(3.0)  # mean of 2 and 4
+    assert ds.x[1, 0] == pytest.approx(2.0)  # mean of 1 and 3
+    assert ds.x[2, 1] == pytest.approx(3.0)  # mean of 2 and 4
 
 
 def test_load_csv_missing_label_always_drops_the_row(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1.0,2.0,a\n3.0,4.0,?\n5.0,6.0,b\n")
     ds = load_csv(p, missing_policy="mean-impute", kind="classification")
-    assert ds.x.rows == 2
+    assert ds.x.shape[0] == 2
 
 
 def test_load_csv_one_hot_encodes_categorical_features(tmp_path):
@@ -169,7 +180,7 @@ def test_load_csv_one_hot_encodes_categorical_features(tmp_path):
     ds = load_csv(p, kind="classification")
     # numeric column plus one indicator per sorted category
     assert ds.x.shape == (3, 3)
-    assert np.array_equal(ds.x.array[:, 1:], [[0, 1], [1, 0], [0, 1]])
+    assert np.array_equal(ds.x[:, 1:], [[0, 1], [1, 0], [0, 1]])
 
 
 def test_load_csv_regression_targets_parse_as_floats(tmp_path):
@@ -177,7 +188,7 @@ def test_load_csv_regression_targets_parse_as_floats(tmp_path):
     p.write_text("1.0,10.5\n2.0,11.5\n")
     ds = load_csv(p, kind="regression")
     assert ds.kind == "regression"
-    assert np.array_equal(ds.y.array, [[10.5], [11.5]])
+    assert np.array_equal(ds.y, [[10.5], [11.5]])
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,abc\n")
     with pytest.raises(CsvParseError):
@@ -186,16 +197,16 @@ def test_load_csv_regression_targets_parse_as_floats(tmp_path):
 
 def test_encode_targets_sorted_classes_and_soft_scheme():
     hard = encode_targets(["b", "a", "b"], "onehot01")
-    assert np.array_equal(hard.array, [[0, 1], [1, 0], [0, 1]])
+    assert np.array_equal(hard, [[0, 1], [1, 0], [0, 1]])
     soft = encode_targets([1, 0, 1], "onehot_soft")
-    assert np.array_equal(soft.array, [[0.1, 0.9], [0.9, 0.1], [0.1, 0.9]])
+    assert np.array_equal(soft, [[0.1, 0.9], [0.9, 0.1], [0.1, 0.9]])
 
 
 def test_stratified_kfold_staggers_small_classes_across_folds():
     # classes of size 5, 3 and 2 in 5 folds: the size-5 class lands once
     # per fold, the smaller classes spread over consecutive folds
     y = encode_targets([0] * 5 + [1] * 3 + [2] * 2)
-    x = Matrix(np.arange(20.0).reshape(10, 2))
+    x = np.arange(20.0).reshape(10, 2)
     ds = Dataset(x, y, ("c0", "c1", "c2"), "classification")
     folds = stratified_kfold(ds, CvPlan(folds=5, trials=1, seed=0))
     assert len(folds) == 5
@@ -217,14 +228,14 @@ def test_stratified_kfold_staggers_small_classes_across_folds():
 
 def test_stratified_kfold_rejects_more_folds_than_samples():
     y = encode_targets([0, 1])
-    ds = Dataset(Matrix(np.eye(2)), y, ("a", "b"), "classification")
+    ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
     with pytest.raises(InvalidArgumentError):
         stratified_kfold(ds, CvPlan(folds=3, trials=1))
 
 
 def test_unstratified_fold_sizes_differ_by_at_most_one():
-    x = Matrix(np.arange(22.0).reshape(11, 2))
-    ds = Dataset(x, Matrix(np.zeros((11, 1))))
+    x = np.arange(22.0).reshape(11, 2)
+    ds = Dataset(x, np.zeros((11, 1)))
     folds = stratified_kfold(ds, CvPlan(folds=4, trials=1, seed=2,
                                         stratified=False))
     sizes = sorted(len(te) for _, te in folds)
@@ -250,16 +261,16 @@ def test_expand_template_rejects_junk():
 
 def test_training_targets_soften_labels_for_invertible_outputs():
     y = encode_targets([0, 1])
-    ds = Dataset(Matrix(np.eye(2)), y, ("a", "b"), "classification")
+    ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
     soft = training_targets(ds, linear_output=False)
-    assert np.array_equal(soft.array, [[0.9, 0.1], [0.1, 0.9]])
+    assert np.array_equal(soft, [[0.9, 0.1], [0.1, 0.9]])
     raw = training_targets(ds, linear_output=True)
-    assert np.array_equal(raw.array, y.array)
+    assert np.array_equal(raw, y)
 
 
 def test_accuracy_counts_argmax_matches():
     y = encode_targets([0, 1, 1])
-    ds = Dataset(Matrix(np.eye(3)[:, :2] * 1.0), y, ("a", "b"),
+    ds = Dataset(np.eye(3)[:, :2] * 1.0, y, ("a", "b"),
                  "classification")
     pred = np.array([[0.8, 0.2], [0.6, 0.4], [0.1, 0.9]])
     assert accuracy(pred, ds) == pytest.approx(2 / 3)
@@ -297,11 +308,11 @@ def _reference_cv_search(ds, templates, h_grid, plan, cfg, activation,
     rebuilding each split per candidate: the search without its early
     exit, in the candidate order smaller h, then earlier template."""
     templates = list(dict.fromkeys(templates))
-    q = ds.y.cols
+    q = ds.y.shape[1]
 
     def fit_score(tr, te, tmpl, h):
         widths = expand_template(tmpl, h, q)
-        spec = build_spec("-".join(map(str, widths)), ds.x.cols, activation,
+        spec = build_spec("-".join(map(str, widths)), ds.x.shape[1], activation,
                           linear_output)
         report = train(spec, tr.x, training_targets(tr, linear_output), cfg)
         pred = forward(spec, report.weights, te.x)
@@ -317,7 +328,7 @@ def _reference_cv_search(ds, templates, h_grid, plan, cfg, activation,
         for f, (tr_idx, te_idx) in enumerate(outer):
             tr_ds, te_ds = ds.subset(tr_idx), ds.subset(te_idx)
             inner = stratified_kfold(tr_ds, CvPlan(
-                min(plan.folds, tr_ds.x.rows), 1,
+                min(plan.folds, tr_ds.x.shape[0]), 1,
                 plan.seed + 7919 * trial + 104729 * f, plan.stratified))
             best = None
             for h in sorted({int(v) for v in h_grid}):
@@ -421,12 +432,12 @@ def test_write_dataset_csv_round_trips_through_load(tmp_path):
     p = tmp_path / "s.csv"
     write_dataset_csv(train_ds, p)
     back = load_csv(p, kind="classification")
-    assert np.array_equal(back.x.array, train_ds.x.array)
+    assert np.array_equal(back.x, train_ds.x)
     assert np.array_equal(back.labels, train_ds.labels)
     assert back.class_labels == train_ds.class_labels
 
 
 def test_dataset_validates_classification_targets():
     with pytest.raises(InvalidArgumentError):
-        Dataset(Matrix(np.eye(2)), Matrix(np.ones((2, 2))), ("a", "b"),
+        Dataset(np.eye(2), np.ones((2, 2)), ("a", "b"),
                 "classification")

@@ -107,6 +107,12 @@ def test_weight_set_zeroes_cells_outside_the_mask():
     assert not ws.masks[0].flags.writeable
 
 
+def test_weight_set_leaves_the_callers_mask_writable():
+    mask = np.array([[True, False], [False, True]])
+    WeightSet([np.ones((2, 2))], [mask])
+    assert mask.flags.writeable
+
+
 def test_forward_is_plain_affine_chain_for_identity_linear_net():
     spec = _spec([3, 2], input_dim=2)
     rng = np.random.default_rng(0)
@@ -132,7 +138,7 @@ def test_hidden_activation_stage_zero_is_the_augmented_input():
                   [None, None])
     x = rng.standard_normal((4, 2))
     a0 = hidden_activation(spec, w, x, 0)
-    assert np.array_equal(a0.array, augment(x))
+    assert np.array_equal(a0, augment(x))
     a1 = hidden_activation(spec, w, x, 1)
     assert a1.shape == (4, 2)
 
