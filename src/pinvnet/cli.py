@@ -172,12 +172,28 @@ def _numbers(value, kind, key):
         ) from None
 
 
+def _scalar(value, kind, key):
+    """A flag or config-file value as one `kind` (int or float)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfigurationError(
+            f"--{key.replace('_', '-')} must be a {kind.__name__} value, "
+            f"got {value!r}"
+        ) from None
+
+
+def _clamp_margin(merged):
+    margin = merged["clamp_margin"]
+    return None if margin is None else _scalar(margin, float, "clamp_margin")
+
+
 def _pinv_opts(merged) -> PinvOptions:
     tol = str(merged["tolerance"])
-    ridge = float(merged["ridge"])
+    ridge = _scalar(merged["ridge"], float, "ridge")
     if tol == "auto":
         return PinvOptions.automatic(ridge)
-    return PinvOptions.explicit(float(tol), ridge)
+    return PinvOptions.explicit(_scalar(tol, float, "tolerance"), ridge)
 
 
 def _label_column(merged):
@@ -207,16 +223,18 @@ def cmd_train(args) -> int:
     linear = bool(merged["linear_output"])
     spec = build_spec(merged["structure"], ds.x.shape[1], activation, linear)
     targets = training_targets(ds, linear)
+    seed = _scalar(merged["seed"], int, "seed")
+    c = _scalar(merged["c"], float, "c")
     if merged["init"] == "data_matrix":
         scheme = InitScheme.data_matrix()
     elif merged["init"] == "random":
         order = merged["solve_order"]
         if order is not None:
             order = _numbers(order, int, "solve_order")
-        scheme = InitScheme.random(int(merged["seed"]), float(merged["c"]), order)
+        scheme = InitScheme.random(seed, c, order)
     else:
         raise InvalidConfigurationError(f"unknown init {merged['init']!r}")
-    cfg = TrainConfig(scheme, _pinv_opts(merged), merged["clamp_margin"])
+    cfg = TrainConfig(scheme, _pinv_opts(merged), _clamp_margin(merged))
     report = train(spec, ds.x, targets, cfg)
 
     out = Path(merged["out"])
@@ -229,8 +247,8 @@ def cmd_train(args) -> int:
         "task": ds.kind,
         "init": {
             "kind": merged["init"],
-            "seed": int(merged["seed"]),
-            "c": float(merged["c"]),
+            "seed": seed,
+            "c": c,
             "solve_order": list(scheme.solve_order) if scheme.solve_order else None,
         },
         "pinv": {
@@ -274,12 +292,13 @@ def cmd_cv(args) -> int:
     grid = _numbers(DEFAULT_GRID if grid is None else grid, int, "grid")
     activation = parse_kind(merged["activation"])
     linear = bool(merged["linear_output"])
-    plan = CvPlan(int(merged["folds"]), int(merged["trials"]),
-                  int(merged["seed"]), stratified)
+    seed = _scalar(merged["seed"], int, "seed")
+    plan = CvPlan(_scalar(merged["folds"], int, "folds"),
+                  _scalar(merged["trials"], int, "trials"), seed, stratified)
     cfg = TrainConfig(
-        InitScheme.random(int(merged["seed"]), float(merged["c"])),
+        InitScheme.random(seed, _scalar(merged["c"], float, "c")),
         _pinv_opts(merged),
-        merged["clamp_margin"],
+        _clamp_margin(merged),
     )
     result = cv_search(ds, [merged["template"]], grid, plan, cfg,
                        activation, linear)
@@ -312,8 +331,10 @@ def cmd_synth(args) -> int:
     artifacts = []
     if which == "spiral":
         train_ds, test_ds = gen_spiral(
-            int(merged["arms"]), int(merged["per_arm"]),
-            float(merged["noise"]), int(merged["seed"]),
+            _scalar(merged["arms"], int, "arms"),
+            _scalar(merged["per_arm"], int, "per_arm"),
+            _scalar(merged["noise"], float, "noise"),
+            _scalar(merged["seed"], int, "seed"),
         )
         write_dataset_csv(train_ds, out / "spiral_train.csv")
         write_dataset_csv(test_ds, out / "spiral_test.csv")
@@ -322,7 +343,9 @@ def cmd_synth(args) -> int:
         print(f"spiral_test.csv rows {test_ds.x.shape[0]}")
     else:
         trains, test = gen_regression(
-            int(merged["noisy_sets"]), float(merged["noise"]), int(merged["seed"]),
+            _scalar(merged["noisy_sets"], int, "noisy_sets"),
+            _scalar(merged["noise"], float, "noise"),
+            _scalar(merged["seed"], int, "seed"),
         )
         for k, ds in enumerate(trains):
             name = f"train_{k:02d}.csv"
@@ -346,14 +369,14 @@ def cmd_variance(args) -> int:
         )
     lo, hi = rng_range
     cfg = VarianceConfig(
-        m=int(merged["m"]),
-        d=int(merged["d"]),
+        m=_scalar(merged["m"], int, "m"),
+        d=_scalar(merged["d"], int, "d"),
         input_range=(lo, hi),
-        noise_scale=float(merged["noise_scale"]),
-        trials=int(merged["trials"]),
-        max_depth=int(merged["max_depth"]),
+        noise_scale=_scalar(merged["noise_scale"], float, "noise_scale"),
+        trials=_scalar(merged["trials"], int, "trials"),
+        max_depth=_scalar(merged["max_depth"], int, "max_depth"),
         activation=parse_kind(merged["activation"]),
-        seed=int(merged["seed"]),
+        seed=_scalar(merged["seed"], int, "seed"),
     )
     report = mc_output_variance(cfg)
     out = Path(merged["out"])
@@ -378,10 +401,10 @@ def cmd_selfcheck(args) -> int:
         raise InvalidConfigurationError(
             f"--shapes must look like 200x100, got {merged['shapes']!r}"
         )
-    count = int(merged["count"])
+    count = _scalar(merged["count"], int, "count")
     if count < 1:
         raise InvalidConfigurationError(f"--count must be >= 1, got {count}")
-    rng = np.random.default_rng(int(merged["seed"]))
+    rng = np.random.default_rng(_scalar(merged["seed"], int, "seed"))
     worst_penrose = 0.0
     worst_oracle = 0.0
     failures = 0

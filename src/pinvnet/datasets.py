@@ -13,6 +13,7 @@ from .activations import ActivationKind
 from .errors import CsvParseError, InvalidArgumentError, InvalidConfigurationError
 from .linalg import as_array, sse
 from .network import NetworkSpec, build_spec, forward
+from .parallel import map_jobs
 from .training import TrainConfig, train
 
 __all__ = [
@@ -71,6 +72,11 @@ class Dataset:
         if self.kind != "classification":
             raise InvalidArgumentError("labels are defined for classification data")
         return self.y.argmax(axis=1)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled copy (as a
+        # worker process receives it) is validated and read-only again
+        return (Dataset, (self.x, self.y, self.class_labels, self.kind))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
@@ -447,6 +453,31 @@ def _inner_mean(folds, spec: NetworkSpec, cfg: TrainConfig, top: float,
     return bound
 
 
+def _outer_fold(ds: Dataset, candidates, plan: CvPlan, cfg: TrainConfig,
+                linear_output: bool, trial: int, f: int, tr_idx, te_idx):
+    """One outer (trial, fold) of cv_search: select a candidate by the
+    inner k-fold on the training portion, then score it on the held-out
+    part. Returns ((template, h), held-out score)."""
+    top = 1.0 if ds.kind == "classification" else 0.0
+    fold = _split(ds, tr_idx, te_idx, linear_output)
+    tr_ds = fold[0]
+    inner_folds = min(plan.folds, tr_ds.x.shape[0])
+    inner = stratified_kfold(
+        tr_ds,
+        CvPlan(inner_folds, 1, plan.seed + 7919 * trial + 104729 * f,
+               plan.stratified),
+    )
+    folds = [_split(tr_ds, i_tr, i_te, linear_output) for i_tr, i_te in inner]
+    best = None
+    for tmpl, h, spec in candidates:
+        score = _inner_mean(folds, spec, cfg, top,
+                            None if best is None else best[0])
+        if score is not None:
+            best = (score, tmpl, h, spec)
+    _, tmpl, h, spec = best
+    return (tmpl, h), _fit_score(fold, spec, cfg)
+
+
 def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
               plan: CvPlan, cfg: TrainConfig, activation: ActivationKind,
               linear_output: bool = False) -> CvResult:
@@ -466,44 +497,34 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     that of scoring every fold; only fits that cannot change the
     selection are skipped, so an error a skipped fit would raise (for
     example a domain violation with clamp_margin=None) is not raised.
+
+    The outer (trial, fold) jobs are independent and fully seeded, so
+    they run in worker processes with one BLAS thread each, one per usable
+    core (see parallel.map_jobs); with a single usable core they run in
+    this process. The result equals that of an in-process run under a
+    one-thread BLAS, whatever the worker count, and an error is the one
+    the in-process loop raises.
     """
     if not h_grid:
         raise InvalidArgumentError("empty h grid")
     if not templates:
         raise InvalidArgumentError("no templates")
     templates = list(dict.fromkeys(templates))
-    top = 1.0 if ds.kind == "classification" else 0.0
     # candidate order doubles as the tie-break: smaller h, earlier template
     candidates = [
         (tmpl, h, _spec_for(ds, tmpl, h, activation, linear_output))
         for h in sorted({int(h) for h in h_grid}) for tmpl in templates
     ]
-    grid = np.zeros((plan.trials, plan.folds))
-    selections: List[Tuple[str, int]] = []
+    jobs = []
     for trial in range(plan.trials):
         outer = stratified_kfold(
             ds, CvPlan(plan.folds, 1, plan.seed + trial, plan.stratified)
         )
-        for f, (tr_idx, te_idx) in enumerate(outer):
-            fold = _split(ds, tr_idx, te_idx, linear_output)
-            tr_ds = fold[0]
-            inner_folds = min(plan.folds, tr_ds.x.shape[0])
-            inner = stratified_kfold(
-                tr_ds,
-                CvPlan(inner_folds, 1, plan.seed + 7919 * trial + 104729 * f,
-                       plan.stratified),
-            )
-            folds = [_split(tr_ds, i_tr, i_te, linear_output)
-                     for i_tr, i_te in inner]
-            best = None
-            for tmpl, h, spec in candidates:
-                score = _inner_mean(folds, spec, cfg, top,
-                                    None if best is None else best[0])
-                if score is not None:
-                    best = (score, tmpl, h, spec)
-            _, tmpl, h, spec = best
-            selections.append((tmpl, h))
-            grid[trial, f] = _fit_score(fold, spec, cfg)
+        jobs += [(ds, candidates, plan, cfg, linear_output, trial, f, tr_idx, te_idx)
+                 for f, (tr_idx, te_idx) in enumerate(outer)]
+    done = map_jobs(_outer_fold, jobs)
+    selections = [selection for selection, _ in done]
+    grid = np.array([score for _, score in done]).reshape(plan.trials, plan.folds)
     counts = Counter(selections)
     best_tmpl, best_h = min(
         counts, key=lambda cand: (-counts[cand], cand[1], templates.index(cand[0]))

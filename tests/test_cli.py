@@ -242,3 +242,39 @@ def test_bad_shapes_argument_exits_2(capsys):
     code, _, stderr = _run(capsys, "selfcheck", "--shapes", "banana")
     assert code == 2
     assert "200x100" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["cv"], {"folds": "x"}, "--folds"),
+        (["cv"], {"trials": [3]}, "--trials"),
+        (["cv"], {"c": "big"}, "--c"),
+        (["cv"], {"clamp_margin": "tiny"}, "--clamp-margin"),
+        (["train", "--structure", "4-3"], {"seed": "x"}, "--seed"),
+        (["train", "--structure", "4-3"], {"clamp_margin": "tiny"}, "--clamp-margin"),
+        (["train", "--structure", "4-3"], {"ridge": "x"}, "--ridge"),
+        (["train", "--structure", "4-3"], {"tolerance": "tiny"}, "--tolerance"),
+        (["synth", "spiral"], {"arms": "x"}, "--arms"),
+        (["synth", "regression"], {"noise": None}, "--noise"),
+        (["variance"], {"max_depth": "deep"}, "--max-depth"),
+        (["selfcheck"], {"count": "x"}, "--count"),
+    ],
+    ids=["cv-folds", "cv-trials", "cv-c", "cv-clamp-margin", "train-seed",
+         "train-clamp-margin", "train-ridge", "train-tolerance", "spiral-arms",
+         "regression-noise", "variance-max-depth", "selfcheck-count"],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, spiral_csv, argv, config,
+                                  message):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    argv = argv + ["--config", str(cfgfile)]
+    if argv[0] in ("train", "cv"):
+        argv += ["--data", str(spiral_csv)]
+    if argv[0] != "selfcheck":
+        argv += ["--out", str(tmp_path / "run")]
+    code, stdout, stderr = _run(capsys, *argv)
+    assert code == 2
+    err = json.loads(stderr.strip().splitlines()[-1])
+    assert err["error"]["type"] == "invalid-input"
+    assert message in err["error"]["message"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pinvnet.datasets as datasets_module
+from pinvnet import parallel
 from pinvnet.activations import ActivationKind
 from pinvnet.cli import DEFAULT_GRID
 from pinvnet.datasets import (
@@ -349,8 +350,15 @@ def _reference_cv_search(ds, templates, h_grid, plan, cfg, activation,
                     tuple(selections))
 
 
+def _in_process(monkeypatch):
+    """One usable core, so cv_search runs every fold in this process, where
+    a monkeypatch sees it, rather than in worker processes."""
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+
+
 def _count_fits(monkeypatch):
     """Record the first width of every network cv_search trains."""
+    _in_process(monkeypatch)
     widths = []
 
     def counting_train(spec, x, y, cfg):
@@ -388,7 +396,7 @@ def test_cv_search_early_exit_matches_the_exhaustive_search(case, monkeypatch):
     got = cv_search(ds, templates, grid, plan, cfg, SP, linear)
     assert got == want
     every = plan.trials * plan.folds * (len(templates) * len(grid) * plan.folds + 1)
-    assert len(fits) < every
+    assert 0 < len(fits) < every
 
 
 def test_cv_search_single_candidate_fits_every_fold(monkeypatch):
@@ -402,13 +410,18 @@ def test_cv_search_single_candidate_fits_every_fold(monkeypatch):
 def test_cv_search_ties_go_to_smaller_h_before_earlier_template(monkeypatch):
     # (h-q, h=2) and (2h-h-q, h=1) both start with a width-2 layer and tie
     # exactly at the top score; every other candidate scores lower
+    scored = []
+
     def fake_fit_score(fold, spec, cfg):
+        scored.append(spec.widths[0])
         return 1.0 if spec.widths[0] == 2 else 0.5
 
     monkeypatch.setattr(datasets_module, "_fit_score", fake_fit_score)
+    _in_process(monkeypatch)
     train_ds, _ = gen_spiral(3, 10, seed=0)
     result = cv_search(train_ds, ["h-q", "2h-h-q"], [1, 2], CvPlan(3, 1, 0),
                        TrainConfig(InitScheme.random(0)), SP)
+    assert len(scored) > 0
     assert (result.template, result.h) == ("2h-h-q", 1)
     assert set(result.selections) == {("2h-h-q", 1)}
 
