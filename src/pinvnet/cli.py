@@ -7,7 +7,9 @@ All file artifacts are byte-stable for a fixed seed; timing is printed to
 stderr only.
 
 A JSON config file (--config) may supply any option by its long name with
-dashes replaced by underscores; explicit command line flags win.
+dashes replaced by underscores; explicit command line flags win. Each
+subcommand declares its options once, in a table of `Option`s that makes
+its flags and types every value, flag or config, before the command runs.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,67 +48,178 @@ from .training import InitScheme, TrainConfig, train
 
 DEFAULT_GRID = (1, 2, 3, 5, 10, 20, 30, 50, 80, 100, 200, 500)
 
-_TRAIN_DEFAULTS = {
-    "data": None,
-    "structure": None,
-    "activation": "softplus08",
-    "linear_output": False,
-    "init": "random",
-    "c": 1.0,
-    "seed": 0,
-    "clamp_margin": 1e-9,
-    "tolerance": "auto",
-    "ridge": 0.0,
-    "solve_order": None,
-    "task": "auto",
-    "label_column": "-1",
-    "header": False,
-    "missing": "drop",
-    "dump_weights": False,
-    "out": ".",
-}
 
-_CV_DEFAULTS = {
-    "data": None,
-    "template": "h-q",
-    "grid": None,
-    "folds": 10,
-    "trials": 10,
-    "seed": 0,
-    "stratified": True,
-    "activation": "softplus08",
-    "linear_output": False,
-    "c": 1.0,
-    "clamp_margin": 1e-9,
-    "tolerance": "auto",
-    "ridge": 0.0,
-    "task": "auto",
-    "label_column": "-1",
-    "header": False,
-    "missing": "drop",
-    "out": ".",
-}
+class Option(NamedTuple):
+    """One option of a subcommand. Its flag is --name with dashes; the
+    config file gives it as name. convert(value, flag) checks and types
+    a flag's text or a config value, raising InvalidConfigurationError."""
 
-_SPIRAL_DEFAULTS = {
-    "arms": 6, "per_arm": 500, "noise": 0.3, "seed": 0, "out": ".",
-}
-_REGRESSION_DEFAULTS = {
-    "noisy_sets": 10, "noise": 0.2, "seed": 0, "out": ".",
-}
-_VARIANCE_DEFAULTS = {
-    "m": 100, "d": 10, "range": (-5.0, 5.0), "noise_scale": 1.0,
-    "trials": 1000, "max_depth": 8, "activation": "exp:0.0001",
-    "seed": 0, "out": ".",
-}
-_SELFCHECK_DEFAULTS = {
-    "shapes": "200x100", "count": 100, "seed": 0, "inject_fault": False,
-}
+    name: str
+    default: object
+    convert: Callable
+    help: Optional[str] = None
 
 
-def _resolve(args, defaults):
-    """Merge CLI values over the config file over built-in defaults."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _bad(flag, what, value):
+    return InvalidConfigurationError(f"{flag} must be {what}, got {value!r}")
+
+
+def _number(kind):
+    def convert(value, flag):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise _bad(flag, f"a {kind.__name__} value", value) from None
+    return convert
+
+
+_int, _float = _number(int), _number(float)
+
+
+def _switch(value, flag):
+    if isinstance(value, bool):
+        return value
+    raise _bad(flag, "true or false", value)
+
+
+def _text(value, flag):
+    if isinstance(value, str):
+        return value
+    raise _bad(flag, "text", value)
+
+
+def _choice(*names):
+    def convert(value, flag):
+        if isinstance(value, str) and value in names:
+            return value
+        raise _bad(flag, "one of " + ", ".join(names), value)
+    convert.choices = names
+    return convert
+
+
+def _label(value, flag):
+    """A column index, or (with --header) a column name; kept as given."""
+    if isinstance(value, str) or type(value) is int:
+        return value
+    raise _bad(flag, "a column index or name", value)
+
+
+def _tolerance(value, flag):
+    """'auto' or an absolute singular-value cutoff, as text or a number;
+    kept as given."""
+    if value != "auto":
+        _float(str(value), flag)
+    return value
+
+
+def _margin(value, flag):
+    """A float, or null in the config file to turn clamping off."""
+    return None if value is None else _float(value, flag)
+
+
+def _numbers(value, kind, flag):
+    """A comma-separated flag value, or a list from the config file, as a
+    list of `kind`."""
+    items = value.split(",") if isinstance(value, str) else value
+    try:
+        return [kind(v) for v in items]
+    except (TypeError, ValueError):
+        raise _bad(flag, f"comma-separated {kind.__name__} values",
+                   value) from None
+
+
+def _ints(value, flag):
+    return _numbers(value, int, flag)
+
+
+def _range(value, flag):
+    lo_hi = _numbers(value, float, flag)
+    if len(lo_hi) != 2:
+        raise _bad(flag, "lo,hi", value)
+    return lo_hi
+
+
+_SEED = Option("seed", 0, _int)
+_OUT = Option("out", ".", _text)
+_DATA = (
+    Option("data", None, _text, "dataset CSV path"),
+    Option("task", "auto", _choice("auto", "classification", "regression")),
+    Option("label_column", "-1", _label,
+           "label column index or (with --header) name"),
+    Option("header", False, _switch, "first CSV row is a header"),
+    Option("missing", "drop", _choice("drop", "mean-impute"),
+           "missing-cell policy"),
+)
+_SOLVER = (
+    Option("activation", "softplus08", _text,
+           "identity|softplus|softplus08|exp:<alpha>"),
+    Option("linear_output", False, _switch,
+           "skip the final activation on output"),
+    Option("c", 1.0, _float, "placeholder scale factor"),
+    _SEED,
+    Option("clamp_margin", 1e-9, _margin),
+    Option("tolerance", "auto", _tolerance,
+           "'auto' or an absolute singular-value cutoff"),
+    Option("ridge", 0.0, _float),
+)
+_TRAIN = _DATA + _SOLVER + (
+    Option("structure", None, _text, 'widths like "30-50^r3-250-6"'),
+    Option("init", "random", _choice("random", "data_matrix")),
+    Option("solve_order", None, _ints, "custom inner-layer order, e.g. 2,1"),
+    Option("dump_weights", False, _switch),
+    _OUT,
+)
+_CV = _DATA + _SOLVER + (
+    Option("template", "h-q", _text, 'width template like "h-q" or "2h-h-q"'),
+    Option("grid", None, _ints, "comma-separated h values"),
+    Option("folds", 10, _int),
+    Option("trials", 10, _int),
+    Option("stratified", True, _switch),
+    _OUT,
+)
+_SPIRAL = (
+    Option("arms", 6, _int),
+    Option("per_arm", 500, _int),
+    Option("noise", 0.3, _float),
+    _SEED,
+    _OUT,
+)
+_REGRESSION = (
+    Option("noisy_sets", 10, _int),
+    Option("noise", 0.2, _float),
+    _SEED,
+    _OUT,
+)
+_VARIANCE = (
+    Option("m", 100, _int),
+    Option("d", 10, _int),
+    Option("range", (-5.0, 5.0), _range, "lo,hi input range"),
+    Option("noise_scale", 1.0, _float),
+    Option("trials", 1000, _int),
+    Option("max_depth", 8, _int),
+    Option("activation", "exp:0.0001", _text),
+    _SEED,
+    _OUT,
+)
+_SELFCHECK = (
+    Option("shapes", "200x100", _text, "max shape like 200x100"),
+    Option("count", 100, _int),
+    _SEED,
+    Option("inject_fault", False, _switch,
+           "negative control: corrupt one inverse"),
+)
+
+
+def _resolve(args):
+    """Merge each option's flag over the config file over its default and
+    convert it, once. Returns the typed values and the manifest's echo of
+    them (without --out)."""
     from_file = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 from_file = json.load(fh)
@@ -116,28 +231,35 @@ def _resolve(args, defaults):
             raise InvalidConfigurationError(
                 f"config file {args.config} must hold a JSON object"
             )
-        unknown = set(from_file) - set(defaults)
+        names = {opt.name for opt in args.options}
+        unknown = set(from_file) - names
         if unknown:
             raise InvalidConfigurationError(
-                f"unknown config keys {sorted(unknown)}; valid: {sorted(defaults)}"
+                f"unknown config keys {sorted(unknown)}; valid: {sorted(names)}"
             )
-    merged = {}
-    for key, builtin in defaults.items():
-        given = getattr(args, key, None)
-        if given is not None:
-            merged[key] = given
-        elif key in from_file:
-            merged[key] = from_file[key]
+    values, echo = {}, {}
+    for opt in args.options:
+        given = getattr(args, opt.name)
+        if given is None:
+            given = from_file.get(opt.name, opt.default)
+        if given is None and opt.default is None:
+            value = None  # an option with no default stays unset
         else:
-            merged[key] = builtin
-    return merged
+            value = opt.convert(given, _flag(opt.name))
+        values[opt.name] = value
+        # the echo describes the computation, not its destination, so the
+        # same run into two directories yields byte-identical manifests;
+        # an int list is echoed as given ("3,1,2" or [3, 1, 2])
+        if opt.name != "out":
+            echo[opt.name] = given if opt.convert is _ints else value
+    return SimpleNamespace(**values), echo
 
 
-def _require(merged, *keys):
-    for key in keys:
-        if merged[key] is None:
+def _require(opts, *names):
+    for name in names:
+        if getattr(opts, name) is None:
             raise InvalidConfigurationError(
-                f"--{key.replace('_', '-')} is required (flag or config file)"
+                f"{_flag(name)} is required (flag or config file)"
             )
 
 
@@ -146,109 +268,65 @@ def _json_dump(obj, path: Path):
                     encoding="utf-8")
 
 
-def _write_manifest(out: Path, command: str, merged, artifacts):
-    # the echo describes the computation, not its destination, so the
-    # same run into two directories yields byte-identical manifests
-    echo = {k: merged[k] for k in sorted(merged) if k != "out"}
+def _write_manifest(out: Path, command: str, echo, artifacts):
     manifest = {
         "command": command,
         "config_echo": echo,
-        "seed": merged.get("seed"),
+        "seed": echo["seed"],
         "artifact_paths": sorted(str(a) for a in artifacts),
     }
     _json_dump(manifest, out / "manifest.json")
 
 
-def _numbers(value, kind, key):
-    """A comma-separated flag value, or a list from the config file, as a
-    list of `kind`."""
-    items = value.split(",") if isinstance(value, str) else value
+def _pinv_opts(opts) -> PinvOptions:
+    if opts.tolerance == "auto":
+        return PinvOptions.automatic(opts.ridge)
+    return PinvOptions.explicit(float(opts.tolerance), opts.ridge)
+
+
+def _load_dataset(opts):
+    label = opts.label_column
     try:
-        return [kind(v) for v in items]
-    except (TypeError, ValueError):
-        raise InvalidConfigurationError(
-            f"--{key.replace('_', '-')} must be comma-separated "
-            f"{kind.__name__} values, got {value!r}"
-        ) from None
-
-
-def _scalar(value, kind, key):
-    """A flag or config-file value as one `kind` (int or float)."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfigurationError(
-            f"--{key.replace('_', '-')} must be a {kind.__name__} value, "
-            f"got {value!r}"
-        ) from None
-
-
-def _clamp_margin(merged):
-    margin = merged["clamp_margin"]
-    return None if margin is None else _scalar(margin, float, "clamp_margin")
-
-
-def _pinv_opts(merged) -> PinvOptions:
-    tol = str(merged["tolerance"])
-    ridge = _scalar(merged["ridge"], float, "ridge")
-    if tol == "auto":
-        return PinvOptions.automatic(ridge)
-    return PinvOptions.explicit(_scalar(tol, float, "tolerance"), ridge)
-
-
-def _label_column(merged):
-    text = str(merged["label_column"])
-    try:
-        return int(text)
+        label = int(label)
     except ValueError:
-        return text
-
-
-def _load_dataset(merged):
+        pass  # a column name
     return load_csv(
-        merged["data"],
-        label_column=_label_column(merged),
-        header=bool(merged["header"]),
-        missing_policy=merged["missing"],
-        kind=merged["task"],
+        opts.data,
+        label_column=label,
+        header=opts.header,
+        missing_policy=opts.missing,
+        kind=opts.task,
     )
 
 
 def cmd_train(args) -> int:
-    merged = _resolve(args, _TRAIN_DEFAULTS)
-    _require(merged, "data", "structure")
+    opts, echo = _resolve(args)
+    _require(opts, "data", "structure")
     t0 = time.perf_counter()
-    ds = _load_dataset(merged)
-    activation = parse_kind(merged["activation"])
-    linear = bool(merged["linear_output"])
-    spec = build_spec(merged["structure"], ds.x.shape[1], activation, linear)
-    targets = training_targets(ds, linear)
-    seed = _scalar(merged["seed"], int, "seed")
-    c = _scalar(merged["c"], float, "c")
-    if merged["init"] == "data_matrix":
+    ds = _load_dataset(opts)
+    activation = parse_kind(opts.activation)
+    spec = build_spec(opts.structure, ds.x.shape[1], activation,
+                      opts.linear_output)
+    targets = training_targets(ds, opts.linear_output)
+    if opts.init == "data_matrix":
         scheme = InitScheme.data_matrix()
-    elif merged["init"] == "random":
-        order = merged["solve_order"]
-        if order is not None:
-            order = _numbers(order, int, "solve_order")
-        scheme = InitScheme.random(seed, c, order)
     else:
-        raise InvalidConfigurationError(f"unknown init {merged['init']!r}")
-    cfg = TrainConfig(scheme, _pinv_opts(merged), _clamp_margin(merged))
+        scheme = InitScheme.random(opts.seed, opts.c, opts.solve_order)
+    cfg = TrainConfig(scheme, _pinv_opts(opts), opts.clamp_margin)
     report = train(spec, ds.x, targets, cfg)
 
-    out = Path(merged["out"])
+    out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = ["train_report.json"]
     body = {
-        "structure": merged["structure"],
+        "structure": opts.structure,
         "activation": format_kind(activation),
-        "linear_output": linear,
+        "linear_output": opts.linear_output,
         "task": ds.kind,
         "init": {
-            "kind": merged["init"],
-            "seed": seed,
-            "c": c,
+            "kind": opts.init,
+            "seed": opts.seed,
+            "c": opts.c,
             "solve_order": list(scheme.solve_order) if scheme.solve_order else None,
         },
         "pinv": {
@@ -267,42 +345,35 @@ def cmd_train(args) -> int:
         body["train_accuracy"] = acc
         print(f"train_accuracy {acc!r}")
     _json_dump(body, out / "train_report.json")
-    if merged["dump_weights"]:
+    if opts.dump_weights:
         for k, w in enumerate(report.weights.weights, start=1):
             name = f"weights_{k:02d}.csv"
             write_matrix_csv(w, out / name)
             artifacts.append(name)
-    _write_manifest(out, "train", merged, artifacts)
+    _write_manifest(out, "train", echo, artifacts)
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
 
 def cmd_cv(args) -> int:
-    merged = _resolve(args, _CV_DEFAULTS)
-    _require(merged, "data")
+    opts, echo = _resolve(args)
+    _require(opts, "data")
     t0 = time.perf_counter()
-    ds = _load_dataset(merged)
-    stratified = bool(merged["stratified"])
-    if ds.kind == "regression" and stratified:
+    ds = _load_dataset(opts)
+    if ds.kind == "regression" and opts.stratified:
         print("warning: stratification needs class labels; "
               "falling back to unstratified folds", file=sys.stderr)
-        stratified = False
-        merged["stratified"] = False
-    grid = merged["grid"]
-    grid = _numbers(DEFAULT_GRID if grid is None else grid, int, "grid")
-    activation = parse_kind(merged["activation"])
-    linear = bool(merged["linear_output"])
-    seed = _scalar(merged["seed"], int, "seed")
-    plan = CvPlan(_scalar(merged["folds"], int, "folds"),
-                  _scalar(merged["trials"], int, "trials"), seed, stratified)
+        opts.stratified = echo["stratified"] = False
+    grid = list(DEFAULT_GRID) if opts.grid is None else opts.grid
+    plan = CvPlan(opts.folds, opts.trials, opts.seed, opts.stratified)
     cfg = TrainConfig(
-        InitScheme.random(seed, _scalar(merged["c"], float, "c")),
-        _pinv_opts(merged),
-        _clamp_margin(merged),
+        InitScheme.random(opts.seed, opts.c),
+        _pinv_opts(opts),
+        opts.clamp_margin,
     )
-    result = cv_search(ds, [merged["template"]], grid, plan, cfg,
-                       activation, linear)
-    out = Path(merged["out"])
+    result = cv_search(ds, [opts.template], grid, plan, cfg,
+                       parse_kind(opts.activation), opts.linear_output)
+    out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
     body = {
         "template": result.template,
@@ -315,7 +386,7 @@ def cmd_cv(args) -> int:
         "score_kind": "accuracy" if ds.kind == "classification" else "neg_sse",
     }
     _json_dump(body, out / "cv_report.json")
-    _write_manifest(out, "cv", merged, ["cv_report.json"])
+    _write_manifest(out, "cv", echo, ["cv_report.json"])
     print(f"selected_h {result.h}")
     print(f"mean_accuracy {result.mean_accuracy!r}")
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -323,67 +394,45 @@ def cmd_cv(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    which = args.generator
-    defaults = _SPIRAL_DEFAULTS if which == "spiral" else _REGRESSION_DEFAULTS
-    merged = _resolve(args, defaults)
-    out = Path(merged["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    if which == "spiral":
-        train_ds, test_ds = gen_spiral(
-            _scalar(merged["arms"], int, "arms"),
-            _scalar(merged["per_arm"], int, "per_arm"),
-            _scalar(merged["noise"], float, "noise"),
-            _scalar(merged["seed"], int, "seed"),
-        )
-        write_dataset_csv(train_ds, out / "spiral_train.csv")
-        write_dataset_csv(test_ds, out / "spiral_test.csv")
-        artifacts += ["spiral_train.csv", "spiral_test.csv"]
-        print(f"spiral_train.csv rows {train_ds.x.shape[0]}")
-        print(f"spiral_test.csv rows {test_ds.x.shape[0]}")
+    opts, echo = _resolve(args)
+    # generate before anything is written, so bad values leave no --out
+    if args.generator == "spiral":
+        train_ds, test_ds = gen_spiral(opts.arms, opts.per_arm, opts.noise,
+                                       opts.seed)
+        files = {"spiral_train.csv": train_ds, "spiral_test.csv": test_ds}
+        lines = [f"{name} rows {ds.x.shape[0]}" for name, ds in files.items()]
     else:
-        trains, test = gen_regression(
-            _scalar(merged["noisy_sets"], int, "noisy_sets"),
-            _scalar(merged["noise"], float, "noise"),
-            _scalar(merged["seed"], int, "seed"),
-        )
-        for k, ds in enumerate(trains):
-            name = f"train_{k:02d}.csv"
-            write_dataset_csv(ds, out / name)
-            artifacts.append(name)
-        write_dataset_csv(test, out / "test.csv")
-        artifacts.append("test.csv")
-        print(f"train files {len(trains)}")
-        print(f"test.csv rows {test.x.shape[0]}")
-    _write_manifest(out, f"synth {which}", merged, artifacts)
+        trains, test = gen_regression(opts.noisy_sets, opts.noise, opts.seed)
+        files = {f"train_{k:02d}.csv": ds for k, ds in enumerate(trains)}
+        files["test.csv"] = test
+        lines = [f"train files {len(trains)}", f"test.csv rows {test.x.shape[0]}"]
+    out = Path(opts.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, ds in files.items():
+        write_dataset_csv(ds, out / name)
+    print("\n".join(lines))
+    _write_manifest(out, f"synth {args.generator}", echo, list(files))
     return 0
 
 
 def cmd_variance(args) -> int:
-    merged = _resolve(args, _VARIANCE_DEFAULTS)
+    opts, echo = _resolve(args)
     t0 = time.perf_counter()
-    rng_range = _numbers(merged["range"], float, "range")
-    if len(rng_range) != 2:
-        raise InvalidConfigurationError(
-            f"--range must be lo,hi, got {merged['range']!r}"
-        )
-    lo, hi = rng_range
     cfg = VarianceConfig(
-        m=_scalar(merged["m"], int, "m"),
-        d=_scalar(merged["d"], int, "d"),
-        input_range=(lo, hi),
-        noise_scale=_scalar(merged["noise_scale"], float, "noise_scale"),
-        trials=_scalar(merged["trials"], int, "trials"),
-        max_depth=_scalar(merged["max_depth"], int, "max_depth"),
-        activation=parse_kind(merged["activation"]),
-        seed=_scalar(merged["seed"], int, "seed"),
+        m=opts.m,
+        d=opts.d,
+        input_range=tuple(opts.range),
+        noise_scale=opts.noise_scale,
+        trials=opts.trials,
+        max_depth=opts.max_depth,
+        activation=parse_kind(opts.activation),
+        seed=opts.seed,
     )
     report = mc_output_variance(cfg)
-    out = Path(merged["out"])
+    out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
-    merged["range"] = [lo, hi]
     write_variance_csv(report, out / "variance.csv")
-    _write_manifest(out, "variance", merged, ["variance.csv"])
+    _write_manifest(out, "variance", echo, ["variance.csv"])
     for k, mean in enumerate(report.per_depth_mean, start=1):
         print(f"depth {k} mean {mean!r}")
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -391,24 +440,23 @@ def cmd_variance(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    merged = _resolve(args, _SELFCHECK_DEFAULTS)
+    opts, _ = _resolve(args)
     try:
-        mtext, ntext = str(merged["shapes"]).lower().split("x")
+        mtext, ntext = opts.shapes.lower().split("x")
         max_m, max_n = int(mtext), int(ntext)
     except ValueError:
         max_m = max_n = 0
     if max_m < 1 or max_n < 1:
         raise InvalidConfigurationError(
-            f"--shapes must look like 200x100, got {merged['shapes']!r}"
+            f"--shapes must look like 200x100, got {opts.shapes!r}"
         )
-    count = _scalar(merged["count"], int, "count")
-    if count < 1:
-        raise InvalidConfigurationError(f"--count must be >= 1, got {count}")
-    rng = np.random.default_rng(_scalar(merged["seed"], int, "seed"))
+    if opts.count < 1:
+        raise InvalidConfigurationError(f"--count must be >= 1, got {opts.count}")
+    rng = np.random.default_rng(opts.seed)
     worst_penrose = 0.0
     worst_oracle = 0.0
     failures = 0
-    for i in range(count):
+    for i in range(opts.count):
         m = int(rng.integers(1, max_m + 1))
         n = int(rng.integers(1, max_n + 1))
         a = rng.standard_normal((m, n))
@@ -417,7 +465,7 @@ def cmd_selfcheck(args) -> int:
             r = int(rng.integers(1, min(m, n)))
             a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
         p = pinv(a)
-        if merged["inject_fault"] and i == 0:
+        if opts.inject_fault and i == 0:
             p = p * 2.0  # test hook: break the inverse deliberately
         res = penrose_residual(a, p)
         worst_penrose = max(worst_penrose, res)
@@ -433,35 +481,31 @@ def cmd_selfcheck(args) -> int:
             worst_oracle = max(worst_oracle, rel)
             if rel > 1e-8:
                 failures += 1
-    print(f"checks {count}")
+    print(f"checks {opts.count}")
     print(f"worst_penrose_residual {worst_penrose!r}")
     print(f"worst_oracle_error {worst_oracle!r}")
     print("selfcheck " + ("ok" if failures == 0 else f"FAILED ({failures})"))
     return 0 if failures == 0 else 1
 
 
-def _add_common_data_flags(p):
-    p.add_argument("--data", help="dataset CSV path")
-    p.add_argument("--task", choices=["auto", "classification", "regression"])
-    p.add_argument("--label-column", dest="label_column",
-                   help="label column index or (with --header) name")
-    p.add_argument("--header", action="store_const", const=True,
-                   help="first CSV row is a header")
-    p.add_argument("--missing", choices=["drop", "mean-impute"],
-                   help="missing-cell policy")
-
-
-def _add_solver_flags(p):
-    p.add_argument("--activation", help="identity|softplus|softplus08|exp:<alpha>")
-    p.add_argument("--linear-output", dest="linear_output",
-                   action="store_const", const=True,
-                   help="skip the final activation on output")
-    p.add_argument("--c", type=float, help="placeholder scale factor")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clamp-margin", dest="clamp_margin", type=float)
-    p.add_argument("--tolerance",
-                   help="'auto' or an absolute singular-value cutoff")
-    p.add_argument("--ridge", type=float)
+def _add_options(parser, options, func):
+    """One --flag per option (a switch is store_const, and one that is on
+    by default also gets --no-<name>), plus --config."""
+    for opt in options:
+        flag = _flag(opt.name)
+        if opt.convert is _switch:
+            parser.add_argument(flag, dest=opt.name, action="store_const",
+                                const=True, help=opt.help)
+            if opt.default:
+                parser.add_argument("--no-" + flag[2:], dest=opt.name,
+                                    action="store_const", const=False)
+        else:
+            choices = getattr(opt.convert, "choices", None)
+            parser.add_argument(
+                flag, dest=opt.name, help=opt.help,
+                metavar="{%s}" % ",".join(choices) if choices else None)
+    parser.add_argument("--config", help="JSON file of option values")
+    parser.set_defaults(func=func, options=options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,75 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analytic pseudoinverse training of feedforward networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="solve one network against a dataset")
-    _add_common_data_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--structure", help='widths like "30-50^r3-250-6"')
-    p.add_argument("--init", choices=["random", "data_matrix"])
-    p.add_argument("--solve-order", dest="solve_order",
-                   help="custom inner-layer order, e.g. 2,1")
-    p.add_argument("--dump-weights", dest="dump_weights",
-                   action="store_const", const=True)
-    p.add_argument("--out")
-    p.add_argument("--config", help="JSON file of option values")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("cv", help="cross-validated width search")
-    _add_common_data_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--template", help='width template like "h-q" or "2h-h-q"')
-    p.add_argument("--grid", help="comma-separated h values")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--stratified", dest="stratified",
-                   action="store_const", const=True)
-    p.add_argument("--no-stratified", dest="stratified",
-                   action="store_const", const=False)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("synth", help="write synthetic datasets")
-    gen = p.add_subparsers(dest="generator", required=True)
-    ps = gen.add_parser("spiral")
-    ps.add_argument("--arms", type=int)
-    ps.add_argument("--per-arm", dest="per_arm", type=int)
-    ps.add_argument("--noise", type=float)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--out")
-    ps.add_argument("--config")
-    ps.set_defaults(func=cmd_synth)
-    pr = gen.add_parser("regression")
-    pr.add_argument("--noisy-sets", dest="noisy_sets", type=int)
-    pr.add_argument("--noise", type=float)
-    pr.add_argument("--seed", type=int)
-    pr.add_argument("--out")
-    pr.add_argument("--config")
-    pr.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("variance", help="output-variance Monte Carlo study")
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--range", help="lo,hi input range")
-    p.add_argument("--noise-scale", dest="noise_scale", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--activation")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_variance)
-
-    p = sub.add_parser("selfcheck", help="randomized pseudoinverse checks")
-    p.add_argument("--shapes", help="max shape like 200x100")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--inject-fault", dest="inject_fault",
-                   action="store_const", const=True,
-                   help="negative control: corrupt one inverse")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_selfcheck)
+    _add_options(sub.add_parser("train", help="solve one network against a dataset"),
+                 _TRAIN, cmd_train)
+    _add_options(sub.add_parser("cv", help="cross-validated width search"),
+                 _CV, cmd_cv)
+    gen = sub.add_parser("synth", help="write synthetic datasets").add_subparsers(
+        dest="generator", required=True)
+    _add_options(gen.add_parser("spiral"), _SPIRAL, cmd_synth)
+    _add_options(gen.add_parser("regression"), _REGRESSION, cmd_synth)
+    _add_options(sub.add_parser("variance", help="output-variance Monte Carlo study"),
+                 _VARIANCE, cmd_variance)
+    _add_options(sub.add_parser("selfcheck", help="randomized pseudoinverse checks"),
+                 _SELFCHECK, cmd_selfcheck)
     return parser
 
 

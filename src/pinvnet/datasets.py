@@ -387,9 +387,13 @@ def expand_template(template: str, h: int, q: int) -> Tuple[int, ...]:
 
 def training_targets(ds: Dataset, linear_output: bool) -> np.ndarray:
     """Targets as the solver needs them: classification labels re-encoded
-    to 0.9/0.1 when the output activation must be inverted, raw otherwise."""
+    to 0.9/0.1 when the output activation must be inverted, raw otherwise.
+    The encoding keeps every column of ds.y, so a subset that misses a
+    class still has one target column per output unit."""
     if ds.kind == "classification" and not linear_output:
-        return encode_targets([int(v) for v in ds.labels], "onehot_soft")
+        y = np.full(ds.y.shape, 0.1)
+        y[np.arange(len(y)), ds.labels] = 0.9
+        return y
     return ds.y
 
 

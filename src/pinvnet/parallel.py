@@ -105,9 +105,9 @@ def map_jobs(fn, jobs) -> list:
     never more than there are jobs, each with one BLAS thread; with one
     usable core or one job they run in this process. The speed-up has
     been measured on 2 cores only. fn, the jobs and the results must
-    pickle, and fn is sent by import path. If jobs raise, the exception of the lowest-index failing job is
-    re-raised: the one the in-process loop raises. Every worker is reaped
-    before this returns or raises.
+    pickle, and fn is sent by import path. If jobs raise, the exception
+    of the lowest-index failing job is re-raised: the one the in-process
+    loop raises. Every worker is reaped before this returns or raises.
     """
     jobs = list(jobs)
     n = max(1, min(_usable_cores(), len(jobs)))

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 
 import pytest
 
@@ -211,20 +213,25 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
         (["variance", "--range", "1,2,3"], "--range"),
         (["selfcheck", "--shapes", "0x5"], "200x100"),
         (["selfcheck", "--count", "-2"], "--count"),
+        (["cv", "--folds", "x"], "--folds"),
+        (["synth", "spiral", "--arms", "0"], "arms"),
+        (["synth", "regression", "--noisy-sets", "-1"], "noisy_sets"),
     ],
-    ids=["solve-order", "grid", "range", "shapes", "count"],
+    ids=["solve-order", "grid", "range", "shapes", "count", "folds",
+         "spiral-arms", "regression-noisy-sets"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):
         argv = argv + ["--data", str(spiral_csv)]
     if argv[0] != "selfcheck":
-        argv = argv + ["--out", str(tmp_path)]
+        argv = argv + ["--out", str(tmp_path / "run")]
     code, stdout, stderr = _run(capsys, *argv)
     assert code == 2
     err = json.loads(stderr.strip().splitlines()[-1])
     assert err["error"]["type"] == "invalid-input"
     assert message in err["error"]["message"]
     assert "selfcheck ok" not in stdout
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"4-3"'],
@@ -259,10 +266,19 @@ def test_bad_shapes_argument_exits_2(capsys):
         (["synth", "regression"], {"noise": None}, "--noise"),
         (["variance"], {"max_depth": "deep"}, "--max-depth"),
         (["selfcheck"], {"count": "x"}, "--count"),
+        (["selfcheck"], {"inject_fault": "false"}, "--inject-fault"),
+        (["train", "--structure", "4-3"], {"header": "false"}, "--header"),
+        (["train", "--structure", "4-3"], {"linear_output": "false"},
+         "--linear-output"),
+        (["cv"], {"template": 3}, "--template"),
+        (["train", "--structure", "4-3"], {"activation": 1}, "--activation"),
+        (["train"], {"structure": 5}, "--structure"),
     ],
     ids=["cv-folds", "cv-trials", "cv-c", "cv-clamp-margin", "train-seed",
          "train-clamp-margin", "train-ridge", "train-tolerance", "spiral-arms",
-         "regression-noise", "variance-max-depth", "selfcheck-count"],
+         "regression-noise", "variance-max-depth", "selfcheck-count",
+         "selfcheck-inject-fault", "train-header", "train-linear-output",
+         "cv-template", "train-activation", "train-structure"],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, spiral_csv, argv, config,
                                   message):
@@ -278,3 +294,69 @@ def test_bad_config_values_exit_2(tmp_path, capsys, spiral_csv, argv, config,
     err = json.loads(stderr.strip().splitlines()[-1])
     assert err["error"]["type"] == "invalid-input"
     assert message in err["error"]["message"]
+    assert "FAILED" not in stdout
+    assert not (tmp_path / "run").exists()
+
+
+def test_cv_runs_when_a_fold_misses_a_class(tmp_path, capsys):
+    # 15 rows, 5 per class, in 2 unstratified folds: some training
+    # portion lacks a class
+    data = tmp_path / "data"
+    assert main(["synth", "spiral", "--arms", "3", "--per-arm", "10",
+                 "--out", str(data)]) == 0
+    code, _, stderr = _run(capsys, "cv", "--data", str(data / "spiral_train.csv"),
+                           "--no-stratified", "--folds", "2", "--trials", "1",
+                           "--grid", "2", "--out", str(tmp_path / "cv"))
+    assert code == 0, stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--structure", "6-3", "--dump-weights", "--tolerance", "0",
+         "--c", "0.5", "--seed", "4"],
+        ["cv", "--grid", "2,3", "--folds", "3", "--trials", "1"],
+        ["variance", "--m", "12", "--d", "3", "--trials", "5",
+         "--max-depth", "2", "--range=-2,2"],
+        ["synth", "spiral", "--arms", "3", "--per-arm", "10", "--noise", "0.1"],
+        ["synth", "regression", "--noisy-sets", "2", "--seed", "3"],
+    ],
+    ids=["train", "cv", "variance", "spiral", "regression"],
+)
+def test_manifest_echo_reruns_to_identical_artifacts(tmp_path, spiral_csv,
+                                                     argv):
+    if argv[0] in ("train", "cv"):
+        argv = argv + ["--data", str(spiral_csv)]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + ["--out", str(first)]) == 0
+    echo = json.loads((first / "manifest.json").read_text())["config_echo"]
+    cfgfile = tmp_path / "echo.json"
+    cfgfile.write_text(json.dumps(echo))
+    command = argv[:2] if argv[0] == "synth" else argv[:1]
+    assert main(command + ["--config", str(cfgfile), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert "manifest.json" in names
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["cv"], ["synth", "spiral"], ["synth", "regression"],
+     ["variance"], ["selfcheck"]],
+    ids=lambda c: "-".join(c),
+)
+def test_help_lists_a_flag_for_every_config_key(tmp_path, capsys, command):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"no_such_key": 1}))
+    code, _, stderr = _run(capsys, *command, "--config", str(cfgfile))
+    assert code == 2
+    message = json.loads(stderr.strip().splitlines()[-1])["error"]["message"]
+    keys = ast.literal_eval(message.split("valid: ")[1])
+    assert len(keys) >= 4
+    with pytest.raises(SystemExit) as stop:
+        main(command + ["--help"])
+    assert stop.value.code == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert {"--" + key.replace("_", "-") for key in keys} <= flags

@@ -267,6 +267,26 @@ def test_training_targets_soften_labels_for_invertible_outputs():
     assert np.array_equal(soft, [[0.9, 0.1], [0.1, 0.9]])
     raw = training_targets(ds, linear_output=True)
     assert np.array_equal(raw, y)
+    # a subset without class "a" keeps both columns
+    part = Dataset(np.eye(3), encode_targets([0, 1, 2]), None,
+                   "classification").subset([1, 2])
+    assert np.array_equal(training_targets(part, linear_output=False),
+                          [[0.1, 0.9, 0.1], [0.1, 0.1, 0.9]])
+
+
+def test_cv_search_runs_when_a_training_portion_misses_a_class(monkeypatch):
+    # the one sample of class 2 is in the test part of one outer fold, so
+    # that fold's training portion has no class 2
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.standard_normal((13, 2)),
+                 encode_targets([0] * 6 + [1] * 6 + [2]), None,
+                 "classification")
+    plan = CvPlan(folds=3, trials=1, seed=0, stratified=True)
+    result = cv_search(ds, ["h-q"], [2], plan,
+                       TrainConfig(InitScheme.random(0)), SP)
+    assert result.h == 2
+    assert 0.0 <= result.mean_accuracy <= 1.0
 
 
 def test_accuracy_counts_argmax_matches():
