@@ -1,6 +1,8 @@
 """Representation checks, output-variance Monte Carlo, solution counting."""
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -8,7 +10,7 @@ import numpy as np
 
 from .activations import ActivationKind, apply
 from .errors import InvalidArgumentError
-from .linalg import EPS, PinvOptions, _pinv_array, as_array
+from .linalg import PinvOptions, _truncated_pinv, as_array
 
 __all__ = [
     "RepresentationReport",
@@ -45,13 +47,11 @@ def representation_check(a, y, tol: float = 1e-9) -> RepresentationReport:
     yy = as_array(y, "y")
     if aa.shape[0] != yy.shape[0]:
         raise InvalidArgumentError("a and y must have the same row count")
-    u, s, _ = np.linalg.svd(aa, full_matrices=False)
-    rank = int((s > max(aa.shape) * EPS * (s[0] if s.size else 0.0)).sum())
-    proj = u[:, :rank]
+    _, proj = _truncated_pinv(*np.linalg.svd(aa, full_matrices=False), _AUTO)
     residual = float(
         np.linalg.norm(proj @ (proj.T @ yy) - yy) / max(1.0, np.linalg.norm(yy))
     )
-    return RepresentationReport(residual, rank, residual <= tol)
+    return RepresentationReport(residual, proj.shape[1], residual <= tol)
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,12 @@ class VarianceConfig:
         if self.max_depth < 1:
             raise InvalidArgumentError("max_depth must be >= 1")
         lo, hi = self.input_range
-        if not lo < hi:
-            raise InvalidArgumentError("input_range must satisfy lo < hi")
-        if not self.noise_scale > 0:
-            raise InvalidArgumentError("noise_scale must be > 0")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidArgumentError(
+                f"input_range must be finite with lo < hi, got {self.input_range}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
+            raise InvalidArgumentError(
+                f"noise_scale must be finite and > 0, got {self.noise_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -95,24 +97,43 @@ class VarianceReport:
     x0_dims: Tuple[int, ...]
 
 
-def _projection_chain(h: np.ndarray, activation: ActivationKind, max_depth: int):
-    """Yield (H_k, H_k^dagger) for k = 1..max_depth, H_1 = h and
-    H_{k+1} = f(H_k H_k^dagger). Each H_k is factorized once: the
-    pseudoinverse the caller sees at depth k is the one the step to
-    depth k + 1 uses."""
-    for k in range(1, max_depth + 1):
-        if k >= 2:
-            h = apply(activation, h @ h_dag)
-        h_dag = _pinv_array(h, _AUTO)
+def _projection_chain(x: np.ndarray, activation: ActivationKind, max_depth: int,
+                      at_identity):
+    """Yield (H_k, H_k^dagger) for k = 1..max_depth, H_1 = x and
+    H_{k+1} = f(P_k) with the projector P_k = H_k H_k^dagger.
+
+    Depth 1 is one SVD of x. Every later H_k is f of a symmetric projector,
+    so one eigh factorizes it. Once a depth keeps full rank, P_k = I exactly
+    and the next step is f(I), which no trial changes: the caller's cached
+    `at_identity()` returns that step as (H, H^dagger, basis of P)."""
+    h_dag, basis = _truncated_pinv(*np.linalg.svd(x, full_matrices=False), _AUTO)
+    yield x, h_dag
+    for _ in range(1, max_depth):
+        h, h_dag, basis = (at_identity() if basis.shape[0] == basis.shape[1]
+                           else _symmetric_step(basis @ basis.T, activation))
         yield h, h_dag
+
+
+def _symmetric_step(p: np.ndarray, activation: ActivationKind):
+    """(H, H^dagger, basis of H H^dagger) for H = f(P), P symmetric, from one
+    eigh of H's lower triangle; sigma = |lambda|, so the SVD cutoff applies."""
+    h = apply(activation, p)
+    lam, v = np.linalg.eigh(h)
+    return (h, *_truncated_pinv(v, lam, v.T, _AUTO))
+
+
+def _identity_step(m: int, activation: ActivationKind):
+    """The chain's step from P = I, computed on first use only."""
+    return functools.cache(lambda: _symmetric_step(np.eye(m), activation))
 
 
 def variance_chain(x_aug, activation: ActivationKind, max_depth: int):
     """[H_1 .. H_max_depth] with H_1 = X and H_{k+1} = f(H_k H_k^dagger)."""
     if max_depth < 1:
         raise InvalidArgumentError("max_depth must be >= 1")
-    chain = _projection_chain(as_array(x_aug, "x_aug"), activation, max_depth)
-    return [h for h, _ in chain]
+    x = as_array(x_aug, "x_aug")
+    at_identity = _identity_step(len(x), activation)
+    return [h for h, _ in _projection_chain(x, activation, max_depth, at_identity)]
 
 
 def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
@@ -125,13 +146,14 @@ def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
     """
     lo, hi = cfg.input_range
     children = np.random.default_rng(cfg.seed).spawn(cfg.trials)
+    at_identity = _identity_step(cfg.m, cfg.activation)
     vals = np.empty((cfg.max_depth, cfg.trials))
     for t, child in enumerate(children):
         x = child.uniform(lo, hi, (cfg.m, cfg.d))
         eps = child.uniform(-1.0, 1.0, cfg.m) * cfg.noise_scale
         x0_d = child.uniform(lo, hi, cfg.d)
         x0_m = child.uniform(lo, hi, cfg.m)
-        chain = _projection_chain(x, cfg.activation, cfg.max_depth)
+        chain = _projection_chain(x, cfg.activation, cfg.max_depth, at_identity)
         for k, (_, h_dag) in enumerate(chain, start=1):
             x0 = x0_d if k == 1 else x0_m
             v = float(x0 @ (h_dag @ eps))

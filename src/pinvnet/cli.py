@@ -143,7 +143,14 @@ def _range(value, flag):
     return lo_hi
 
 
-_SEED = Option("seed", 0, _int)
+def _seed(value, flag):
+    seed = _int(value, flag)
+    if seed < 0:
+        raise _bad(flag, "a non-negative int", value)
+    return seed
+
+
+_SEED = Option("seed", 0, _seed)
 _OUT = Option("out", ".", _text)
 _DATA = (
     Option("data", None, _text, "dataset CSV path"),

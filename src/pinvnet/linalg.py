@@ -6,6 +6,7 @@ cannot express.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,11 @@ class PinvOptions:
             raise InvalidArgumentError(
                 f"unknown tolerance_mode {self.tolerance_mode!r}"
             )
-        if self.tolerance < 0:
-            raise InvalidArgumentError("explicit tolerance must be >= 0")
-        if self.ridge < 0:
-            raise InvalidArgumentError("ridge must be >= 0")
+        for name in ("tolerance", "ridge"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidArgumentError(
+                    f"{name} must be finite and >= 0, got {value!r}")
 
     @classmethod
     def automatic(cls, ridge: float = 0.0) -> "PinvOptions":
@@ -115,17 +117,18 @@ def _pinv_array(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
         if m >= n:
             return np.linalg.solve(a.T @ a + lam * np.eye(n), a.T)
         return np.linalg.solve(a @ a.T + lam * np.eye(m), a).T
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    if opts.tolerance_mode == "automatic":
-        tol = max(a.shape) * EPS * s[0]
-    else:
-        tol = opts.tolerance
-    keep = s > tol
-    if not keep.any():
-        return np.zeros((a.shape[1], a.shape[0]))
-    return (vt[keep].T * (1.0 / s[keep])) @ u[:, keep].T
+    return _truncated_pinv(*np.linalg.svd(a, full_matrices=False), opts)[0]
+
+
+def _truncated_pinv(u, s, vt, opts: PinvOptions):
+    """(V_r diag(1/s_r) U_r^T, U_r) from A = U diag(s) V^T, keeping the s
+    whose |s| passes the cutoff (none when s is all zero). U_r is an
+    orthonormal basis of the kept range, so A A^dagger = U_r U_r^T."""
+    size = np.abs(s)
+    tol = (max(u.shape[0], vt.shape[1]) * EPS * size.max()
+           if opts.tolerance_mode == "automatic" else opts.tolerance)
+    keep = size > tol
+    return (vt[keep].T * (1.0 / s[keep])) @ u[:, keep].T, u[:, keep]
 
 
 def pinv(a, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:

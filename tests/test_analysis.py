@@ -1,8 +1,15 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pinvnet.activations import ActivationKind, apply
 from pinvnet.analysis import (
+    _symmetric_step,
     VarianceConfig,
     mc_output_variance,
     representation_check,
@@ -12,7 +19,7 @@ from pinvnet.analysis import (
     write_variance_csv,
 )
 from pinvnet.errors import InvalidArgumentError
-from pinvnet.linalg import pinv
+from pinvnet.linalg import EPS, penrose_residual, pinv
 
 
 def test_representation_check_accepts_targets_in_the_column_space():
@@ -115,6 +122,11 @@ def test_variance_config_validation():
         VarianceConfig(max_depth=0)
     with pytest.raises(InvalidArgumentError):
         VarianceConfig(input_range=(5.0, -5.0))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidArgumentError):
+            VarianceConfig(input_range=(bad, 1.0))
+        with pytest.raises(InvalidArgumentError):
+            VarianceConfig(noise_scale=bad)
 
 
 def test_variance_csv_rows_are_depth_mean_std(tmp_path):
@@ -131,14 +143,101 @@ def test_variance_csv_rows_are_depth_mean_std(tmp_path):
 
 
 def test_mc_output_variance_factorizes_each_depth_once(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+    # one SVD of X per trial, one eigh per depth until the chain keeps full
+    # rank, and one eigh of f(I) per call that every trial past it reuses
+    cfg = VarianceConfig(trials=4, seed=1)  # m=100, depths 1..8
+    f_identity = apply(cfg.activation, np.eye(cfg.m))
+    log = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting_svd(a, *args, **kwargs):
+        log.append("svd")
+        return svd(a, *args, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        lam, v = eigh(a, *args, **kwargs)
+        if np.array_equal(a, f_identity):
+            log.append("f(I)")
+        else:
+            size = np.abs(lam)
+            full = bool((size > a.shape[0] * EPS * size.max()).all())
+            log.append("full" if full else "deficient")
+        return lam, v
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    cfg = VarianceConfig(m=12, d=3, trials=3, max_depth=4, seed=1)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     mc_output_variance(cfg)
-    assert len(calls) == cfg.trials * cfg.max_depth
+    assert log.count("svd") == cfg.trials
+    assert log.count("f(I)") == 1
+    per_trial = []
+    for entry in log:
+        if entry == "svd":
+            per_trial.append([])
+        elif entry != "f(I)":
+            per_trial[-1].append(entry)
+    for eighs in per_trial:
+        # eigh only up to the depth that keeps full rank, then none
+        assert eighs[-1] == "full" and "full" not in eighs[:-1]
+    assert len(log) < cfg.trials * cfg.max_depth
+
+
+def test_depths_past_the_fixed_point_equal_the_f_identity_oracle():
+    cfg = VarianceConfig(trials=5, seed=0)
+    means = mc_output_variance(cfg).per_depth_mean
+    assert len(set(means[3:])) == 1  # depths 4..8 sit at f(I), bit for bit
+    f_identity = apply(cfg.activation, np.eye(cfg.m))
+    lo, hi = cfg.input_range
+    want = []
+    for child in np.random.default_rng(cfg.seed).spawn(cfg.trials):
+        child.uniform(lo, hi, (cfg.m, cfg.d))
+        eps = child.uniform(-1.0, 1.0, cfg.m) * cfg.noise_scale
+        child.uniform(lo, hi, cfg.d)
+        x0_m = child.uniform(lo, hi, cfg.m)
+        want.append(float(x0_m @ np.linalg.solve(f_identity, eps)) ** 2)
+    assert means[7] == pytest.approx(np.mean(want), rel=1e-9)
+    x = np.random.default_rng(0).uniform(-5, 5, (cfg.m, cfg.d))
+    chain = variance_chain(x, cfg.activation, cfg.max_depth)
+    assert all(np.array_equal(h, f_identity) for h in chain[3:])
+
+
+@pytest.mark.parametrize("rank", [3, 9])
+def test_symmetric_pseudoinverse_satisfies_penrose(rank):
+    rng = np.random.default_rng(rank)
+    for _ in range(5):
+        # orthonormal eigenvectors, eigenvalues of either sign with
+        # |lambda| in [0.5, 3], and 9 - rank zero eigenvalues
+        q, _ = np.linalg.qr(rng.standard_normal((9, rank)))
+        lam = rng.choice([-1.0, 1.0], rank) * rng.uniform(0.5, 3.0, rank)
+        h = (q * lam) @ q.T
+        same, h_dag, basis = _symmetric_step(h, ActivationKind.identity())
+        assert np.array_equal(same, h)
+        assert penrose_residual(h, h_dag) <= 1e-10
+        assert basis.shape == (9, rank)
+
+
+# Each run prints the per-depth means of a 50-trial study at one BLAS
+# thread count; the runs at 1 and 2 threads must agree bit for bit.
+_MEANS_AT_THREADS = """
+import sys
+from pinvnet.analysis import VarianceConfig, mc_output_variance
+rep = mc_output_variance(VarianceConfig(seed=int(sys.argv[1]), trials=50))
+print(repr(rep.per_depth_mean))
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_variance_chain_is_thread_count_invariant(seed):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads))
+        out = subprocess.run([sys.executable, "-c", _MEANS_AT_THREADS, str(seed)],
+                             env=env, capture_output=True, text=True, check=True)
+        runs.append(ast.literal_eval(out.stdout))
+    assert runs[0] == runs[1]
+    for means in runs:  # criterion 5's verdict, at 50 trials
+        assert all(a >= b for a, b in zip(means[1:], means[2:]))

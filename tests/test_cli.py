@@ -216,9 +216,18 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
         (["cv", "--folds", "x"], "--folds"),
         (["synth", "spiral", "--arms", "0"], "arms"),
         (["synth", "regression", "--noisy-sets", "-1"], "noisy_sets"),
+        (["variance", "--noise-scale", "inf"], "noise_scale"),
+        (["variance", "--range=-inf,1"], "input_range"),
+        (["train", "--structure", "4-3", "--tolerance", "nan"], "tolerance"),
+        (["train", "--structure", "4-3", "--ridge", "nan"], "ridge"),
+        (["train", "--structure", "4-3", "--seed", "-1"], "--seed"),
+        (["variance", "--seed", "-3"], "--seed"),
+        (["selfcheck", "--seed", "-1"], "--seed"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
-         "spiral-arms", "regression-noisy-sets"],
+         "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
+         "range-minus-inf", "tolerance-nan", "ridge-nan", "train-seed",
+         "variance-seed", "selfcheck-seed"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):

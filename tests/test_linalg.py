@@ -74,6 +74,14 @@ def test_explicit_tolerance_rejects_negatives():
         PinvOptions.explicit(-1e-3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_options_reject_non_finite_tolerance_and_ridge(bad):
+    with pytest.raises(InvalidArgumentError):
+        PinvOptions.explicit(bad)
+    with pytest.raises(InvalidArgumentError):
+        PinvOptions.automatic(ridge=bad)
+
+
 def test_ridge_matches_closed_forms_both_orientations():
     rng = np.random.default_rng(7)
     lam = 0.37
