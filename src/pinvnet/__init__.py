@@ -2,94 +2,30 @@
 
 Weights are solved layer by layer with Moore-Penrose pseudoinverses instead
 of gradient descent. The package covers the training procedures themselves,
-the supporting linear algebra, invertible activations, representation and
-variance diagnostics, dataset utilities, and a deterministic CLI.
+the supporting linear algebra, invertible activations, variance
+diagnostics, dataset utilities, and a deterministic CLI.
+
+Each public name is declared once, in its module's `__all__`; the package
+re-exports those lists. `parallel` stays internal to `cv_search`.
 """
-from .activations import (
-    ActivationKind,
-    apply,
-    format_kind,
-    invert,
-    invert_with_count,
-    parse_kind,
-)
-from .analysis import (
-    RepresentationReport,
-    VarianceConfig,
-    VarianceReport,
-    mc_output_variance,
-    representation_check,
-    solution_count,
-    squared_bias,
-    variance_chain,
-    write_variance_csv,
-)
-from .datasets import (
-    CvPlan,
-    CvResult,
-    Dataset,
-    accuracy,
-    cv_search,
-    encode_targets,
-    expand_template,
-    gen_regression,
-    gen_spiral,
-    load_csv,
-    stratified_kfold,
-    training_targets,
-    write_dataset_csv,
-)
-from .errors import (
-    CsvParseError,
-    DomainViolationError,
-    InvalidArgumentError,
-    InvalidConfigurationError,
-    PinvnetError,
-)
-from .linalg import (
-    EPS,
-    Matrix,
-    PinvOptions,
-    penrose_residual,
-    pinv,
-    read_matrix_csv,
-    solve_least_squares,
-    sse,
-    write_matrix_csv,
-)
-from .network import (
-    LayerSpec,
-    NetworkSpec,
-    WeightSet,
-    augment,
-    build_spec,
-    default_masks,
-    format_structure,
-    forward,
-    hidden_activation,
-    parse_structure,
-    receptive_mask,
-)
-from .training import InitScheme, TrainConfig, TrainReport, back_target, train
+from . import activations, analysis, datasets, errors, linalg, network, training
+from .activations import *
+from .analysis import *
+from .datasets import *
+from .errors import *
+from .linalg import *
+from .network import *
+from .training import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationKind", "apply", "format_kind", "invert", "invert_with_count",
-    "parse_kind",
-    "RepresentationReport", "VarianceConfig", "VarianceReport",
-    "mc_output_variance", "representation_check", "solution_count",
-    "squared_bias", "variance_chain", "write_variance_csv",
-    "CvPlan", "CvResult", "Dataset", "accuracy", "cv_search",
-    "encode_targets", "expand_template", "gen_regression", "gen_spiral",
-    "load_csv", "stratified_kfold", "training_targets", "write_dataset_csv",
-    "CsvParseError", "DomainViolationError", "InvalidArgumentError",
-    "InvalidConfigurationError", "PinvnetError",
-    "EPS", "Matrix", "PinvOptions", "penrose_residual", "pinv",
-    "read_matrix_csv", "solve_least_squares", "sse", "write_matrix_csv",
-    "LayerSpec", "NetworkSpec", "WeightSet", "augment", "build_spec",
-    "default_masks", "format_structure", "forward", "hidden_activation",
-    "parse_structure", "receptive_mask",
-    "InitScheme", "TrainConfig", "TrainReport", "back_target", "train",
+    *activations.__all__,
+    *analysis.__all__,
+    *datasets.__all__,
+    *errors.__all__,
+    *linalg.__all__,
+    *network.__all__,
+    *training.__all__,
     "__version__",
 ]

@@ -16,6 +16,15 @@ import numpy as np
 from .errors import DomainViolationError, InvalidArgumentError
 from .linalg import as_array
 
+__all__ = [
+    "ActivationKind",
+    "apply",
+    "format_kind",
+    "invert",
+    "invert_with_count",
+    "parse_kind",
+]
+
 LN_08 = math.log(0.8)
 
 _VARIANTS = ("identity", "softplus", "softplus08", "exp_scaled")

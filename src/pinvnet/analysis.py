@@ -1,57 +1,26 @@
-"""Representation checks, output-variance Monte Carlo, solution counting."""
+"""Output-variance Monte Carlo and solution counting."""
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .activations import ActivationKind, apply
 from .errors import InvalidArgumentError
-from .linalg import PinvOptions, _truncated_pinv, as_array
+from .linalg import PinvOptions, _truncated_pinv
 
 __all__ = [
-    "RepresentationReport",
     "VarianceConfig",
     "VarianceReport",
-    "representation_check",
-    "variance_chain",
     "mc_output_variance",
     "solution_count",
-    "squared_bias",
     "write_variance_csv",
 ]
 
 _AUTO = PinvOptions()
-
-
-@dataclass(frozen=True)
-class RepresentationReport:
-    residual: float
-    rank_estimate: int
-    is_representative: bool
-
-
-def representation_check(a, y, tol: float = 1e-9) -> RepresentationReport:
-    """Does the column space of A contain Y?
-
-    Reports ||A A^dagger Y - Y||_F / max(1, ||Y||_F) and whether it is
-    within tol. rank_estimate counts singular values above the automatic
-    cutoff.
-    """
-    if not tol > 0:
-        raise InvalidArgumentError("tol must be > 0")
-    aa = as_array(a, "a")
-    yy = as_array(y, "y")
-    if aa.shape[0] != yy.shape[0]:
-        raise InvalidArgumentError("a and y must have the same row count")
-    _, proj = _truncated_pinv(*np.linalg.svd(aa, full_matrices=False), _AUTO)
-    residual = float(
-        np.linalg.norm(proj @ (proj.T @ yy) - yy) / max(1.0, np.linalg.norm(yy))
-    )
-    return RepresentationReport(residual, proj.shape[1], residual <= tol)
 
 
 @dataclass(frozen=True)
@@ -127,15 +96,6 @@ def _identity_step(m: int, activation: ActivationKind):
     return functools.cache(lambda: _symmetric_step(np.eye(m), activation))
 
 
-def variance_chain(x_aug, activation: ActivationKind, max_depth: int):
-    """[H_1 .. H_max_depth] with H_1 = X and H_{k+1} = f(H_k H_k^dagger)."""
-    if max_depth < 1:
-        raise InvalidArgumentError("max_depth must be >= 1")
-    x = as_array(x_aug, "x_aug")
-    at_identity = _identity_step(len(x), activation)
-    return [h for h, _ in _projection_chain(x, activation, max_depth, at_identity)]
-
-
 def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
     """Average squared noise response (x0^T H_k^dagger eps)^2 per depth.
 
@@ -181,19 +141,6 @@ def solution_count(n: int) -> Tuple[int, int]:
             "unique least-squares solution"
         )
     return (n - 1, n)
-
-
-def squared_bias(predictions, truth) -> float:
-    """Mean squared deviation of the trial-averaged prediction from a
-    ground truth on the same points. Descriptive only."""
-    if not predictions:
-        raise InvalidArgumentError("need at least one prediction")
-    stack = np.stack([as_array(p, "prediction") for p in predictions])
-    tt = as_array(truth, "truth")
-    if stack.shape[1:] != tt.shape:
-        raise InvalidArgumentError("prediction and truth shapes differ")
-    avg = stack.mean(axis=0)
-    return float(np.mean((avg - tt) ** 2))
 
 
 def write_variance_csv(report: VarianceReport, path) -> None:

@@ -109,8 +109,9 @@ def gen_regression(noisy_sets: int = 0, noise_frac: float = 0.0, seed: int = 0):
     range. Test set: the 721-point grid x = 0.90, 0.91, ..., 8.10 with
     clean targets. Returns (list of train Datasets, test Dataset).
     """
-    if noise_frac < 0:
-        raise InvalidArgumentError("noise_frac must be >= 0")
+    if not (math.isfinite(noise_frac) and noise_frac >= 0):
+        raise InvalidArgumentError(
+            f"noise_frac must be finite and >= 0, got {noise_frac!r}")
     if noisy_sets < 0:
         raise InvalidArgumentError("noisy_sets must be >= 0")
     x = np.arange(1.0, 9.0).reshape(-1, 1)
@@ -140,6 +141,8 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
         raise InvalidArgumentError("arms must be >= 1")
     if per_arm < 2 or per_arm % 2:
         raise InvalidArgumentError("per_arm must be even and >= 2")
+    if not math.isfinite(noise):
+        raise InvalidArgumentError(f"noise must be finite, got {noise!r}")
     rng = np.random.default_rng(seed)
     pts = np.empty((arms * per_arm, 2))
     labels = np.empty(arms * per_arm, dtype=int)
@@ -157,7 +160,7 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
         labels[rows] = a
     names = tuple(f"arm{a}" for a in range(arms))
     to_train = np.tile(i % 2 == 1, arms)
-    y = encode_targets([int(v) for v in labels], "onehot01")
+    y = encode_targets([int(v) for v in labels])
     train_ds = Dataset(pts[to_train], y[to_train], names, "classification")
     test_ds = Dataset(pts[~to_train], y[~to_train], names, "classification")
     return train_ds, test_ds
@@ -294,29 +297,19 @@ def load_csv(path, label_column=-1, header: bool = False,
                 )
             vals.append(v)
         return Dataset(x, np.array(vals).reshape(-1, 1), None, "regression")
-    y = encode_targets(label_cells, "onehot01")
+    y = encode_targets(label_cells)
     return Dataset(x, y, tuple(sorted(set(label_cells))), "classification")
 
 
-def encode_targets(labels: Sequence, scheme: str = "onehot01",
-                   on: float = 0.9, off: float = 0.1) -> np.ndarray:
-    """One-hot encode labels over their sorted distinct values.
-
-    scheme "onehot01" uses 1/0; "onehot_soft" uses the given on/off values
-    (defaults 0.9/0.1, chosen to sit inside the inverse domain of the
-    bounded activations).
-    """
-    if scheme not in ("onehot01", "onehot_soft"):
-        raise InvalidArgumentError(f"unknown encoding scheme {scheme!r}")
+def encode_targets(labels: Sequence) -> np.ndarray:
+    """One-hot 1/0 encode labels over their sorted distinct values."""
     if len(labels) == 0:
         raise InvalidArgumentError("no labels to encode")
-    if scheme == "onehot01":
-        on, off = 1.0, 0.0
     classes = sorted(set(labels))
     lookup = {c: j for j, c in enumerate(classes)}
-    y = np.full((len(labels), len(classes)), off)
+    y = np.zeros((len(labels), len(classes)))
     for i, lab in enumerate(labels):
-        y[i, lookup[lab]] = on
+        y[i, lookup[lab]] = 1.0
     return y
 
 

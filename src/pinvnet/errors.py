@@ -1,5 +1,13 @@
 """Shared exception types."""
 
+__all__ = [
+    "PinvnetError",
+    "InvalidArgumentError",
+    "InvalidConfigurationError",
+    "DomainViolationError",
+    "CsvParseError",
+]
+
 
 class PinvnetError(Exception):
     """Base class for all library errors."""

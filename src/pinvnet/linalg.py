@@ -1,4 +1,4 @@
-"""Dense matrices, the pseudoinverse engine, and least-squares solving.
+"""Dense matrices, the pseudoinverse engine, and a matrix CSV writer.
 
 All numerics are float64: the experiments this library reproduces report
 sums of squared errors down to the 1e-19 scale, which single precision
@@ -19,13 +19,10 @@ __all__ = [
     "EPS",
     "Matrix",
     "PinvOptions",
-    "as_array",
     "pinv",
     "penrose_residual",
-    "solve_least_squares",
     "sse",
     "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 
@@ -35,9 +32,9 @@ class Matrix:
 
     Every other function takes and returns plain ndarrays. The class
     remains only because the benchmark reads `.array` on those two
-    results; it goes once the benchmark reads arrays (ROADMAP item 3).
-    The constructor validates through `as_array` and keeps a read-only
-    C-ordered copy.
+    results; it goes with ROADMAP item 5, which waits on the benchmark
+    change of item 2. The constructor validates through `as_array` and
+    keeps a read-only C-ordered copy.
     """
 
     __slots__ = ("_a",)
@@ -165,17 +162,6 @@ def penrose_residual(a, a_dag) -> float:
     return float(max(checks)) / scale
 
 
-def solve_least_squares(a, y, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
-    """Minimum-norm least-squares solution Theta = A^dagger Y."""
-    aa = as_array(a, "a")
-    yy = as_array(y, "y")
-    if aa.shape[0] != yy.shape[0]:
-        raise InvalidArgumentError(
-            f"row mismatch: a has {aa.shape[0]} rows, y has {yy.shape[0]}"
-        )
-    return _pinv_array(aa, opts) @ yy
-
-
 def sse(g, y) -> float:
     """Sum of squared entry differences, trace((G-Y)^T (G-Y))."""
     gg = as_array(g, "g")
@@ -195,12 +181,3 @@ def write_matrix_csv(a, path) -> None:
             fh.write(",".join("%.17g" % v for v in row))
             fh.write("\n")
 
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Inverse of write_matrix_csv; the values are validated like any
-    other matrix input."""
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"cannot parse matrix CSV {path}: {exc}") from exc
-    return as_array(arr, f"matrix CSV {path}")

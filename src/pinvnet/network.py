@@ -22,6 +22,7 @@ __all__ = [
     "WeightSet",
     "augment",
     "receptive_mask",
+    "default_masks",
     "forward",
     "hidden_activation",
     "parse_structure",

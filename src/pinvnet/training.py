@@ -12,6 +12,7 @@ There is no iteration: every weight matrix is written once.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -29,7 +30,6 @@ __all__ = [
     "TrainReport",
     "back_target",
     "train",
-    "solve_masked_layer",
 ]
 
 
@@ -53,8 +53,10 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("random", "data_matrix"):
             raise InvalidConfigurationError(f"unknown init kind {self.kind!r}")
-        if self.kind == "random" and not self.scale_c > 0:
-            raise InvalidConfigurationError("scale_c must be > 0")
+        if self.kind == "random" and not (math.isfinite(self.scale_c)
+                                          and self.scale_c > 0):
+            raise InvalidConfigurationError(
+                f"scale_c must be finite and > 0, got {self.scale_c!r}")
         if self.solve_order is not None:
             object.__setattr__(self, "solve_order", tuple(self.solve_order))
             if self.kind == "data_matrix":
@@ -79,8 +81,10 @@ class TrainConfig:
     record_intermediates: bool = False
 
     def __post_init__(self):
-        if self.clamp_margin is not None and self.clamp_margin < 0:
-            raise InvalidConfigurationError("clamp_margin must be >= 0 or None")
+        margin = self.clamp_margin
+        if margin is not None and not (math.isfinite(margin) and margin >= 0):
+            raise InvalidConfigurationError(
+                f"clamp_margin must be finite and >= 0, or None, got {margin!r}")
 
 
 @dataclass

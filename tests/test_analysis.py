@@ -9,48 +9,22 @@ import pytest
 
 from pinvnet.activations import ActivationKind, apply
 from pinvnet.analysis import (
+    _identity_step,
+    _projection_chain,
     _symmetric_step,
     VarianceConfig,
     mc_output_variance,
-    representation_check,
     solution_count,
-    squared_bias,
-    variance_chain,
     write_variance_csv,
 )
 from pinvnet.errors import InvalidArgumentError
 from pinvnet.linalg import EPS, penrose_residual, pinv
 
 
-def test_representation_check_accepts_targets_in_the_column_space():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((10, 4))
-    y = a @ rng.standard_normal((4, 2))
-    rep = representation_check(a, y)
-    assert rep.is_representative
-    assert rep.residual <= 1e-12
-    assert rep.rank_estimate == 4
-
-
-def test_representation_check_rejects_targets_outside_the_span():
-    rng = np.random.default_rng(1)
-    basis = rng.standard_normal((8, 3))
-    a = basis @ rng.standard_normal((3, 5))  # rank 3 by construction
-    q, _ = np.linalg.qr(basis)
-    # build y orthogonal to the column space
-    full, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    y = full - q @ (q.T @ full)
-    rep = representation_check(a, y[:, :2])
-    assert not rep.is_representative
-    assert rep.rank_estimate == 3
-    assert rep.residual > 1e-3
-
-
-def test_square_full_rank_design_represents_everything():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((5, 5))
-    y = rng.standard_normal((5, 3))
-    assert representation_check(a, y).is_representative
+def _chain(x, activation, max_depth):
+    """[H_1 .. H_max_depth] of the projection chain behind mc_output_variance."""
+    at_identity = _identity_step(len(x), activation)
+    return [h for h, _ in _projection_chain(x, activation, max_depth, at_identity)]
 
 
 @pytest.mark.parametrize("n,expected", [(2, (1, 2)), (3, (2, 3)), (4, (3, 4))])
@@ -63,20 +37,11 @@ def test_solution_count_needs_at_least_two_layers():
         solution_count(1)
 
 
-def test_squared_bias_is_mean_squared_gap_of_the_trial_average():
-    preds = [np.array([[2.0], [4.0]]), np.array([[0.0], [2.0]])]
-    truth = np.array([[0.0], [0.0]])
-    # trial average is (1, 3); squared gaps (1, 9) average to 5
-    assert squared_bias(preds, truth) == pytest.approx(5.0)
-    with pytest.raises(InvalidArgumentError):
-        squared_bias([], truth)
-
-
 def test_variance_chain_follows_the_projection_recursion():
     rng = np.random.default_rng(3)
     x = rng.uniform(-5, 5, (7, 4))
     kind = ActivationKind.exp_scaled(1e-4)
-    chain = variance_chain(x, kind, 3)
+    chain = _chain(x, kind, 3)
     assert len(chain) == 3
     assert np.array_equal(chain[0], x)
     h1 = chain[0]
@@ -196,7 +161,7 @@ def test_depths_past_the_fixed_point_equal_the_f_identity_oracle():
         want.append(float(x0_m @ np.linalg.solve(f_identity, eps)) ** 2)
     assert means[7] == pytest.approx(np.mean(want), rel=1e-9)
     x = np.random.default_rng(0).uniform(-5, 5, (cfg.m, cfg.d))
-    chain = variance_chain(x, cfg.activation, cfg.max_depth)
+    chain = _chain(x, cfg.activation, cfg.max_depth)
     assert all(np.array_equal(h, f_identity) for h in chain[3:])
 
 

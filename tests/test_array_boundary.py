@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
-from pinvnet.analysis import variance_chain
 from pinvnet.datasets import (
     Dataset,
     encode_targets,
@@ -14,13 +13,7 @@ from pinvnet.datasets import (
     load_csv,
     training_targets,
 )
-from pinvnet.linalg import (
-    Matrix,
-    pinv,
-    read_matrix_csv,
-    solve_least_squares,
-    write_matrix_csv,
-)
+from pinvnet.linalg import Matrix, pinv
 from pinvnet.network import WeightSet, augment, build_spec, forward, hidden_activation
 from pinvnet.training import (
     InitScheme,
@@ -42,11 +35,6 @@ def _weights():
     return WeightSet([np.ones((3, 5)), np.ones((5, 4)), np.ones((4, 2))])
 
 
-def _read_matrix_csv(tmp_path):
-    write_matrix_csv(A, tmp_path / "a.csv")
-    return [read_matrix_csv(tmp_path / "a.csv")]
-
-
 def _intermediates(tmp_path):
     cfg = TrainConfig(InitScheme.random(0), record_intermediates=True)
     report = train(SPEC, A[:, :2], Y, cfg)
@@ -61,8 +49,6 @@ def _load_csv(tmp_path):
 
 CASES = {
     "pinv": lambda tmp_path: [pinv(Matrix(A))],
-    "solve_least_squares": lambda tmp_path: [solve_least_squares(Matrix(A), Y)],
-    "read_matrix_csv": _read_matrix_csv,
     "apply": lambda tmp_path: [apply(SP, Matrix(A))],
     "invert": lambda tmp_path: [invert(SP, Matrix(Y))],
     "invert_with_count": lambda tmp_path: [invert_with_count(SP, Matrix(Y))[0]],
@@ -74,7 +60,6 @@ CASES = {
     "solve_masked_layer": lambda tmp_path: [
         solve_masked_layer(Matrix(A), Y, np.eye(3, 2, dtype=bool))],
     "TrainReport.intermediates": _intermediates,
-    "variance_chain": lambda tmp_path: variance_chain(Matrix(A), SP, 3),
     "encode_targets": lambda tmp_path: [encode_targets(["x", "y", "x"])],
     "training_targets": lambda tmp_path: [
         training_targets(CLASSES, False), training_targets(CLASSES, True)],

@@ -223,11 +223,17 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
         (["train", "--structure", "4-3", "--seed", "-1"], "--seed"),
         (["variance", "--seed", "-3"], "--seed"),
         (["selfcheck", "--seed", "-1"], "--seed"),
+        (["synth", "regression", "--noise", "inf"], "noise_frac"),
+        (["synth", "regression", "--noise", "nan"], "noise_frac"),
+        (["train", "--structure", "4-3", "--c", "inf"], "scale_c"),
+        (["train", "--structure", "4-3", "--clamp-margin", "nan"],
+         "clamp_margin"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
          "range-minus-inf", "tolerance-nan", "ridge-nan", "train-seed",
-         "variance-seed", "selfcheck-seed"],
+         "variance-seed", "selfcheck-seed", "regression-noise-inf",
+         "regression-noise-nan", "c-inf", "clamp-margin-nan"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):

@@ -82,6 +82,11 @@ def test_gen_spiral_is_deterministic_and_validates_arguments():
         gen_spiral(0, 10)
     with pytest.raises(InvalidArgumentError):
         gen_spiral(3, 7)  # odd per-arm cannot split in half
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="noise"):
+            gen_spiral(3, 10, noise=bad)
+        with pytest.raises(InvalidArgumentError, match="noise_frac"):
+            gen_regression(1, noise_frac=bad)
 
 
 def test_load_csv_classification_with_trailing_label(tmp_path):
@@ -197,10 +202,8 @@ def test_load_csv_regression_targets_parse_as_floats(tmp_path):
 
 
 def test_encode_targets_sorted_classes_and_soft_scheme():
-    hard = encode_targets(["b", "a", "b"], "onehot01")
+    hard = encode_targets(["b", "a", "b"])
     assert np.array_equal(hard, [[0, 1], [1, 0], [0, 1]])
-    soft = encode_targets([1, 0, 1], "onehot_soft")
-    assert np.array_equal(soft, [[0.1, 0.9], [0.9, 0.1], [0.1, 0.9]])
 
 
 def test_stratified_kfold_staggers_small_classes_across_folds():

@@ -161,6 +161,14 @@ def test_invalid_solve_orders_are_rejected(order):
         train(spec, x, y, TrainConfig(InitScheme.random(0, 1.0, order)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_scale_and_margin_are_rejected(bad):
+    with pytest.raises(InvalidConfigurationError, match="scale_c"):
+        InitScheme.random(0, bad)
+    with pytest.raises(InvalidConfigurationError, match="clamp_margin"):
+        TrainConfig(InitScheme.random(0), clamp_margin=bad)
+
+
 def test_data_matrix_init_reaches_zero_error_when_rows_span():
     # hidden width equals the sample count; with m <= d+1 the augmented
     # input has full row rank and the projection is exact
