@@ -41,8 +41,8 @@ class ActivationKind:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise InvalidArgumentError(f"unknown activation {self.variant!r}")
-        if self.variant == "exp_scaled" and not self.alpha > 0:
-            raise InvalidArgumentError("exp_scaled alpha must be > 0")
+        if self.variant == "exp_scaled" and not 0 < self.alpha < math.inf:
+            raise InvalidArgumentError("exp_scaled alpha must be finite and > 0")
 
     @classmethod
     def identity(cls):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .activations import ActivationKind, apply
 from .errors import InvalidArgumentError
-from .linalg import PinvOptions, _truncated_pinv
+from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
 __all__ = [
     "VarianceConfig",
@@ -19,9 +19,6 @@ __all__ = [
     "solution_count",
     "write_variance_csv",
 ]
-
-_AUTO = PinvOptions()
-
 
 @dataclass(frozen=True)
 class VarianceConfig:
@@ -75,7 +72,7 @@ def _projection_chain(x: np.ndarray, activation: ActivationKind, max_depth: int,
     so one eigh factorizes it. Once a depth keeps full rank, P_k = I exactly
     and the next step is f(I), which no trial changes: the caller's cached
     `at_identity()` returns that step as (H, H^dagger, basis of P)."""
-    h_dag, basis = _truncated_pinv(*np.linalg.svd(x, full_matrices=False), _AUTO)
+    h_dag, basis = _truncated_pinv(*np.linalg.svd(x, full_matrices=False), _DEFAULT_OPTS)
     yield x, h_dag
     for _ in range(1, max_depth):
         h, h_dag, basis = (at_identity() if basis.shape[0] == basis.shape[1]
@@ -88,7 +85,7 @@ def _symmetric_step(p: np.ndarray, activation: ActivationKind):
     eigh of H's lower triangle; sigma = |lambda|, so the SVD cutoff applies."""
     h = apply(activation, p)
     lam, v = np.linalg.eigh(h)
-    return (h, *_truncated_pinv(v, lam, v.T, _AUTO))
+    return (h, *_truncated_pinv(v, lam, v.T, _DEFAULT_OPTS))
 
 
 def _identity_step(m: int, activation: ActivationKind):
@@ -145,8 +142,5 @@ def solution_count(n: int) -> Tuple[int, int]:
 
 def write_variance_csv(report: VarianceReport, path) -> None:
     """depth,mean,std per line, 17 significant digits, no header."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for k, (mean, std) in enumerate(
-            zip(report.per_depth_mean, report.per_depth_std), start=1
-        ):
-            fh.write("%d,%.17g,%.17g\n" % (k, mean, std))
+    rows = np.column_stack([report.per_depth_mean, report.per_depth_std])
+    _write_csv(path, np.column_stack([np.arange(1, len(rows) + 1), rows]))

@@ -24,9 +24,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .activations import format_kind, parse_kind
-from .analysis import VarianceConfig, mc_output_variance, write_variance_csv
+from .analysis import (VarianceConfig, VarianceReport, mc_output_variance,
+                       write_variance_csv)
 from .datasets import (
     CvPlan,
+    Dataset,
     cv_search,
     gen_regression,
     gen_spiral,
@@ -270,19 +272,38 @@ def _require(opts, *names):
             )
 
 
-def _json_dump(obj, path: Path):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+def _finite(data) -> bool:
+    """Whether every number of a CSV artifact's data is finite; a Dataset's
+    are, by construction."""
+    if isinstance(data, VarianceReport):
+        data = data.per_depth_mean + data.per_depth_std
+    return isinstance(data, Dataset) or bool(np.isfinite(data).all())
 
 
-def _write_manifest(out: Path, command: str, echo, artifacts):
-    manifest = {
-        "command": command,
-        "config_echo": echo,
-        "seed": echo["seed"],
-        "artifact_paths": sorted(str(a) for a in artifacts),
-    }
-    _json_dump(manifest, out / "manifest.json")
+def _write_artifacts(out, command: str, echo, files) -> None:
+    """Create --out, write every file, then manifest.json listing them.
+    files maps a name to a JSON body (a dict) or to (write, data), written
+    as write(data, path). A non-finite number in any file fails the run
+    before --out is created."""
+    files = {**files, "manifest.json": {
+        "command": command, "config_echo": echo, "seed": echo["seed"],
+        "artifact_paths": sorted(files)}}
+    for name, body in files.items():
+        try:
+            if isinstance(body, dict):
+                files[name] = json.dumps(body, sort_keys=True, indent=2,
+                                         allow_nan=False) + "\n"
+            elif not _finite(body[1]):
+                raise ValueError
+        except ValueError:
+            raise PinvnetError(f"{name} would hold a non-finite number") from None
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if isinstance(body, str):
+            (out / name).write_text(body, encoding="utf-8")
+        else:
+            body[0](body[1], out / name)
 
 
 def _pinv_opts(opts) -> PinvOptions:
@@ -322,9 +343,6 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(scheme, _pinv_opts(opts), opts.clamp_margin)
     report = train(spec, ds.x, targets, cfg)
 
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = ["train_report.json"]
     body = {
         "structure": opts.structure,
         "activation": format_kind(activation),
@@ -351,13 +369,11 @@ def cmd_train(args) -> int:
         acc = accuracy(forward(spec, report.weights, ds.x), ds)
         body["train_accuracy"] = acc
         print(f"train_accuracy {acc!r}")
-    _json_dump(body, out / "train_report.json")
+    files = {"train_report.json": body}
     if opts.dump_weights:
-        for k, w in enumerate(report.weights.weights, start=1):
-            name = f"weights_{k:02d}.csv"
-            write_matrix_csv(w, out / name)
-            artifacts.append(name)
-    _write_manifest(out, "train", echo, artifacts)
+        files.update((f"weights_{k:02d}.csv", (write_matrix_csv, w.array))
+                     for k, w in enumerate(report.weights.weights, start=1))
+    _write_artifacts(opts.out, "train", echo, files)
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
@@ -380,8 +396,6 @@ def cmd_cv(args) -> int:
     )
     result = cv_search(ds, [opts.template], grid, plan, cfg,
                        parse_kind(opts.activation), opts.linear_output)
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
     body = {
         "template": result.template,
         "grid": grid,
@@ -392,8 +406,7 @@ def cmd_cv(args) -> int:
         "selections": [list(s) for s in result.selections],
         "score_kind": "accuracy" if ds.kind == "classification" else "neg_sse",
     }
-    _json_dump(body, out / "cv_report.json")
-    _write_manifest(out, "cv", echo, ["cv_report.json"])
+    _write_artifacts(opts.out, "cv", echo, {"cv_report.json": body})
     print(f"selected_h {result.h}")
     print(f"mean_accuracy {result.mean_accuracy!r}")
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -402,7 +415,6 @@ def cmd_cv(args) -> int:
 
 def cmd_synth(args) -> int:
     opts, echo = _resolve(args)
-    # generate before anything is written, so bad values leave no --out
     if args.generator == "spiral":
         train_ds, test_ds = gen_spiral(opts.arms, opts.per_arm, opts.noise,
                                        opts.seed)
@@ -413,12 +425,9 @@ def cmd_synth(args) -> int:
         files = {f"train_{k:02d}.csv": ds for k, ds in enumerate(trains)}
         files["test.csv"] = test
         lines = [f"train files {len(trains)}", f"test.csv rows {test.x.shape[0]}"]
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, ds in files.items():
-        write_dataset_csv(ds, out / name)
+    _write_artifacts(opts.out, f"synth {args.generator}", echo,
+                     {name: (write_dataset_csv, ds) for name, ds in files.items()})
     print("\n".join(lines))
-    _write_manifest(out, f"synth {args.generator}", echo, list(files))
     return 0
 
 
@@ -436,10 +445,8 @@ def cmd_variance(args) -> int:
         seed=opts.seed,
     )
     report = mc_output_variance(cfg)
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_variance_csv(report, out / "variance.csv")
-    _write_manifest(out, "variance", echo, ["variance.csv"])
+    _write_artifacts(opts.out, "variance", echo,
+                     {"variance.csv": (write_variance_csv, report)})
     for k, mean in enumerate(report.per_depth_mean, start=1):
         print(f"depth {k} mean {mean!r}")
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .activations import ActivationKind
 from .errors import CsvParseError, InvalidArgumentError, InvalidConfigurationError
-from .linalg import as_array, sse
-from .network import NetworkSpec, build_spec, forward
+from .linalg import _write_csv, as_array, sse
+from .network import LayerSpec, NetworkSpec, forward
 from .parallel import map_jobs
 from .training import TrainConfig, train
 
@@ -277,12 +277,7 @@ def load_csv(path, label_column=-1, header: bool = False,
                 vals = np.where(np.isnan(vals), fill, vals)
             cols.append(vals.reshape(-1, 1))
         else:
-            cats = sorted(set(cells))
-            block = np.zeros((len(cells), len(cats)))
-            lookup = {c: k for k, c in enumerate(cats)}
-            for i, c in enumerate(cells):
-                block[i, lookup[c]] = 1.0
-            cols.append(block)
+            cols.append(encode_targets(cells))
     x = np.hstack(cols)
 
     label_cells = [r[label_idx] for r in kept]
@@ -320,27 +315,22 @@ def stratified_kfold(ds: Dataset, plan: CvPlan):
     round-robin, staggering the start fold across classes so remainders
     spread out; per-fold class counts stay within one of proportional.
     Classes smaller than the fold count simply miss some folds.
-    Unstratified (or regression) data is dealt the same way ignoring class.
+    Unstratified (or regression) data is dealt the same way as one class.
     """
     m = ds.x.shape[0]
     if plan.folds > m:
         raise InvalidArgumentError(f"folds={plan.folds} exceeds samples={m}")
     rng = np.random.default_rng(plan.seed)
     assign = np.empty(m, dtype=int)
-    if plan.stratified and ds.kind == "classification":
-        labels = ds.labels
-        pos = 0
-        for cls in np.unique(labels):
-            idx = np.flatnonzero(labels == cls)
-            rng.shuffle(idx)
-            for j, ix in enumerate(idx):
-                assign[ix] = (pos + j) % plan.folds
-            pos += idx.size
-    else:
-        idx = np.arange(m)
+    labels = (ds.labels if plan.stratified and ds.kind == "classification"
+              else np.zeros(m, dtype=int))
+    pos = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         for j, ix in enumerate(idx):
-            assign[ix] = j % plan.folds
+            assign[ix] = (pos + j) % plan.folds
+        pos += idx.size
     return [
         (np.flatnonzero(assign != k), np.flatnonzero(assign == k))
         for k in range(plan.folds)
@@ -408,8 +398,8 @@ def _spec_for(ds: Dataset, template: str, h: int,
         raise InvalidConfigurationError(
             f"template {template!r} must end at the target width {q}"
         )
-    structure = "-".join(str(w) for w in widths)
-    return build_spec(structure, ds.x.shape[1], activation, linear_output)
+    layers = tuple(LayerSpec(w, None, activation) for w in widths)
+    return NetworkSpec(ds.x.shape[1], layers, linear_output)
 
 
 def _split(ds: Dataset, tr_idx, te_idx, linear_output: bool):
@@ -539,17 +529,8 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Features at full precision plus a trailing label column (class name
     for classification, numeric target otherwise). No header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if ds.kind == "classification":
-            names = ds.class_labels or tuple(
-                str(j) for j in range(ds.y.shape[1])
-            )
-            for row, lab in zip(ds.x, ds.labels):
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write(f",{names[lab]}\n")
-        else:
-            for row, targ in zip(ds.x, ds.y):
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write(",")
-                fh.write(",".join("%.17g" % v for v in targ))
-                fh.write("\n")
+    if ds.kind == "regression":
+        _write_csv(path, np.hstack([ds.x, ds.y]))
+    else:
+        names = ds.class_labels or tuple(str(j) for j in range(ds.y.shape[1]))
+        _write_csv(path, ds.x, [names[k] for k in ds.labels])

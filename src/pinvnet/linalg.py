@@ -1,4 +1,4 @@
-"""Dense matrices, the pseudoinverse engine, and a matrix CSV writer.
+"""Dense matrices, the pseudoinverse engine, and the one CSV writer.
 
 All numerics are float64: the experiments this library reproduces report
 sums of squared errors down to the 1e-19 scale, which single precision
@@ -175,9 +175,15 @@ def sse(g, y) -> float:
 def write_matrix_csv(a, path) -> None:
     """One matrix row per line, comma separated, 17 significant digits,
     no header. 17 digits round-trips float64 exactly."""
-    arr = as_array(a, "matrix")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+    _write_csv(path, as_array(a, "matrix"))
 
+
+def _write_csv(path, rows: np.ndarray, labels=None) -> None:
+    """The one CSV writer: each row of `rows` at 17 significant digits,
+    then, when `labels` is given, one text cell per row."""
+    fmt = "%.17g"
+    if labels is not None:
+        fmt = [fmt] * rows.shape[1] + ["%s"]
+        rows = np.column_stack([rows.astype(object), labels])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",")

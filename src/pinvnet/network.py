@@ -26,7 +26,6 @@ __all__ = [
     "forward",
     "hidden_activation",
     "parse_structure",
-    "format_structure",
     "build_spec",
 ]
 
@@ -219,16 +218,6 @@ def parse_structure(text: str):
         band = int(m.group(2)) if m.group(2) else None
         out.append((width, band))
     return out
-
-
-def format_structure(spec: NetworkSpec) -> str:
-    toks = []
-    for layer in spec.layers:
-        t = str(layer.width)
-        if layer.receptive_field is not None:
-            t += f"^r{layer.receptive_field}"
-        toks.append(t)
-    return "-".join(toks)
 
 
 def build_spec(structure: str, input_dim: int, activation: ActivationKind,

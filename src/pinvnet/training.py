@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .activations import apply as _apply, invert_with_count
 from .errors import InvalidArgumentError, InvalidConfigurationError
-from .linalg import PinvOptions, _pinv_array, as_array, sse
+from .linalg import _DEFAULT_OPTS, PinvOptions, _pinv_array, as_array, sse
 from .network import NetworkSpec, WeightSet, augment, default_masks
 
 __all__ = [
@@ -76,7 +76,7 @@ class InitScheme:
 @dataclass(frozen=True)
 class TrainConfig:
     init: InitScheme
-    pinv_opts: PinvOptions = field(default_factory=PinvOptions)
+    pinv_opts: PinvOptions = _DEFAULT_OPTS
     clamp_margin: Optional[float] = 1e-9
     record_intermediates: bool = False
 
@@ -111,20 +111,19 @@ def _pull_step(t, wj, gj, skip_inverse, clamp_margin, opts):
 
 
 def back_target(y, weights_after, activations_after, linear_output,
-                clamp_margin=1e-9, pinv_opts: PinvOptions = None) -> np.ndarray:
+                clamp_margin=1e-9, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
     """Back-propagated target for a layer, given the downstream weights in
     output-to-inner order. The layer's own inverse is not applied here."""
     t = as_array(y, "y")
     if len(weights_after) != len(activations_after):
         raise InvalidArgumentError("weights_after / activations_after mismatch")
-    opts = pinv_opts if pinv_opts is not None else PinvOptions()
     for idx, (wj, gj) in enumerate(zip(weights_after, activations_after)):
         t, _ = _pull_step(t, as_array(wj, "weights_after"), gj,
-                          idx == 0 and linear_output, clamp_margin, opts)
+                          idx == 0 and linear_output, clamp_margin, pinv_opts)
     return t
 
 
-def solve_masked_layer(a, t, mask, opts: PinvOptions = None) -> np.ndarray:
+def solve_masked_layer(a, t, mask, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
     """Least-squares weight with support restricted to a boolean mask.
 
     Column j is solved against only the design columns its mask admits;
@@ -140,7 +139,6 @@ def solve_masked_layer(a, t, mask, opts: PinvOptions = None) -> np.ndarray:
         raise InvalidArgumentError(
             f"mask shape {m.shape} != {(aa.shape[1], tt.shape[1])}"
         )
-    opts = opts if opts is not None else PinvOptions()
     w = np.zeros(m.shape)
     for j in range(m.shape[1]):
         support = np.flatnonzero(m[:, j])

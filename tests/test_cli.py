@@ -2,6 +2,7 @@ import ast
 import json
 import re
 
+import numpy as np
 import pytest
 
 from pinvnet.cli import main
@@ -228,12 +229,15 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
         (["train", "--structure", "4-3", "--c", "inf"], "scale_c"),
         (["train", "--structure", "4-3", "--clamp-margin", "nan"],
          "clamp_margin"),
+        (["train", "--structure", "4-3", "--activation", "exp:inf"], "alpha"),
+        (["variance", "--activation", "exp:inf"], "alpha"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
          "range-minus-inf", "tolerance-nan", "ridge-nan", "train-seed",
          "variance-seed", "selfcheck-seed", "regression-noise-inf",
-         "regression-noise-nan", "c-inf", "clamp-margin-nan"],
+         "regression-noise-nan", "c-inf", "clamp-margin-nan",
+         "train-exp-inf", "variance-exp-inf"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):
@@ -246,6 +250,36 @@ def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     assert err["error"]["type"] == "invalid-input"
     assert message in err["error"]["message"]
     assert "selfcheck ok" not in stdout
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["train", "--structure", "3-1", "--linear-output"], "train_report.json"),
+        (["cv", "--grid", "1,2", "--folds", "3", "--trials", "1",
+          "--linear-output"], "cv_report.json"),
+        (["variance", "--trials", "5", "--max-depth", "3",
+          "--noise-scale", "1e300"], "variance.csv"),
+    ],
+    ids=["train", "cv", "variance"],
+)
+def test_non_finite_results_exit_1_and_write_nothing(tmp_path, capsys, argv,
+                                                     name):
+    # targets near 1e200 overflow the SSE; noise near 1e300 overflows the
+    # variance; both used to reach the artifacts as Infinity, inf or nan
+    if argv[0] != "variance":
+        rng = np.random.default_rng(0)
+        data = np.column_stack([rng.uniform(-1, 1, (30, 2)),
+                                rng.uniform(-1, 1, 30) * 1e200])
+        np.savetxt(tmp_path / "big.csv", data, fmt="%.17g", delimiter=",")
+        argv = argv + ["--data", str(tmp_path / "big.csv")]
+    code, _, stderr = _run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 1
+    err = json.loads(stderr.strip().splitlines()[-1])["error"]
+    assert err["type"] == "error"
+    assert name in err["message"] and "non-finite" in err["message"]
+    assert "Traceback" not in stderr
     assert not (tmp_path / "run").exists()
 
 
@@ -330,13 +364,14 @@ def test_cv_runs_when_a_fold_misses_a_class(tmp_path, capsys):
     [
         ["train", "--structure", "6-3", "--dump-weights", "--tolerance", "0",
          "--c", "0.5", "--seed", "4"],
+        ["train", "--structure", "5-3"],
         ["cv", "--grid", "2,3", "--folds", "3", "--trials", "1"],
         ["variance", "--m", "12", "--d", "3", "--trials", "5",
          "--max-depth", "2", "--range=-2,2"],
         ["synth", "spiral", "--arms", "3", "--per-arm", "10", "--noise", "0.1"],
         ["synth", "regression", "--noisy-sets", "2", "--seed", "3"],
     ],
-    ids=["train", "cv", "variance", "spiral", "regression"],
+    ids=["train", "train-no-weights", "cv", "variance", "spiral", "regression"],
 )
 def test_manifest_echo_reruns_to_identical_artifacts(tmp_path, spiral_csv,
                                                      argv):
@@ -344,13 +379,15 @@ def test_manifest_echo_reruns_to_identical_artifacts(tmp_path, spiral_csv,
         argv = argv + ["--data", str(spiral_csv)]
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(argv + ["--out", str(first)]) == 0
-    echo = json.loads((first / "manifest.json").read_text())["config_echo"]
+    manifest = json.loads((first / "manifest.json").read_text())
+    echo = manifest["config_echo"]
     cfgfile = tmp_path / "echo.json"
     cfgfile.write_text(json.dumps(echo))
     command = argv[:2] if argv[0] == "synth" else argv[:1]
     assert main(command + ["--config", str(cfgfile), "--out", str(second)]) == 0
     names = sorted(p.name for p in first.iterdir())
     assert "manifest.json" in names
+    assert manifest["artifact_paths"] == [n for n in names if n != "manifest.json"]
     assert sorted(p.name for p in second.iterdir()) == names
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -244,6 +244,11 @@ def test_unstratified_fold_sizes_differ_by_at_most_one():
                                         stratified=False))
     sizes = sorted(len(te) for _, te in folds)
     assert sizes == [2, 3, 3, 3]
+    # the dealer this one replaced: one shuffle of all rows, dealt in turn
+    idx = np.arange(11)
+    np.random.default_rng(2).shuffle(idx)
+    assert [te.tolist() for _, te in folds] == [
+        sorted(idx[k::4].tolist()) for k in range(4)]
 
 
 @pytest.mark.parametrize("template,h,q,widths", [

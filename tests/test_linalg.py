@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pinvnet.analysis import VarianceReport, write_variance_csv
+from pinvnet.datasets import Dataset, encode_targets, write_dataset_csv
 from pinvnet.errors import InvalidArgumentError
 from pinvnet.linalg import (
     EPS,
@@ -141,6 +143,46 @@ def test_csv_has_no_header_and_ends_with_newline(tmp_path):
     write_matrix_csv([[1.5, -2.0]], path)
     text = path.read_text()
     assert text == "1.5,-2\n"
+
+
+def _reference_rows(rows, labels=None):
+    """The row loop the CSV writers used before they shared one
+    np.savetxt writer: the bytes every CSV artifact must keep."""
+    lines = []
+    for i, row in enumerate(rows):
+        cells = ["%.17g" % v for v in row]
+        if labels is not None:
+            cells.append(labels[i])
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_csv_bytes_match_the_reference_row_loop(tmp_path):
+    big = 1.7976931348623157e308
+    edge = np.array([[-0.0, 0.0, 5e-324, -5e-324],
+                     [big, -big, 1.0, -3.0],
+                     [12345678901234567.0, 2.0 ** 60, 0.1, 1e-300]])
+    rng = np.random.default_rng(4)
+    for m in (edge, rng.standard_normal((9, 5)), rng.integers(-50, 50, (4, 2))):
+        path = tmp_path / "w.csv"
+        write_matrix_csv(m, path)
+        assert path.read_bytes() == _reference_rows(np.asarray(m, float))
+
+
+def test_dataset_and_variance_csv_bytes_match_the_reference_row_loop(tmp_path):
+    x = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [3.0, -2.5]])
+    names = ("größe", "naïve")
+    ds = Dataset(x, encode_targets([1, 0, 1]), names, "classification")
+    path = tmp_path / "d.csv"
+    write_dataset_csv(ds, path)
+    assert path.read_bytes() == _reference_rows(x, ["naïve", "größe", "naïve"])
+    write_dataset_csv(Dataset(x, x[:, 1:] * 3.0), path)
+    assert path.read_bytes() == _reference_rows(np.hstack([x, x[:, 1:] * 3.0]))
+    report = VarianceReport((2.5, 1e-300, 7.0), (0.0, 5e-324, 1e17), (10, 100, 100))
+    write_variance_csv(report, path)
+    assert path.read_bytes() == _reference_rows(
+        [(k + 1, m, s) for k, (m, s) in enumerate(zip(report.per_depth_mean,
+                                                      report.per_depth_std))])
 
 
 def test_eps_is_float64_machine_epsilon():

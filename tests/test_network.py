@@ -10,7 +10,6 @@ from pinvnet.network import (
     augment,
     build_spec,
     default_masks,
-    format_structure,
     forward,
     hidden_activation,
     parse_structure,
@@ -84,7 +83,9 @@ def test_build_spec_rejects_semantically_invalid_structures(bad):
 def test_build_spec_and_format_round_trip():
     spec = build_spec("8^r3-4-1", input_dim=2, activation=SP,
                       linear_output=True)
-    assert format_structure(spec) == "8^r3-4-1"
+    assert [l.receptive_field for l in spec.layers] == [3, None, None]
+    assert all(l.activation == SP for l in spec.layers)
+    assert spec.input_dim == 2
     assert spec.n_layers == 3
     assert spec.widths == (8, 4, 1)
     assert spec.in_dims == (3, 8, 4)
