@@ -5,8 +5,10 @@ Usage: python scripts/artifact_digest.py [src_root]
 src_root is a checkout of this repository (default: the one holding this
 script); its `src/` is the code that runs. The runs are: `synth` spiral
 and regression, `train` with the random, banded and data_matrix inits
-with `--dump-weights`, `train` without it, a regression `train`, `cv` on
-`tests/data/iris_like.csv`, and `variance`. They run in a temporary
+with `--dump-weights`, `train` without it, a regression `train`, `train`
+with the softplus, identity (linear output) and `exp:0.5` activations and
+with a custom solve order, `cv` on `tests/data/iris_like.csv`, and
+`variance`. They run in a temporary
 directory with relative paths, so the manifests do not depend on where
 it is, and each with one BLAS thread, the scope in which the CLI
 artifacts are byte-stable. Each output line is `sha256  path`; diff the
@@ -37,6 +39,15 @@ RUNS = (
     ("train_regression", ["train", "--data", "regression/train_01.csv",
                           "--structure", "8-1", "--linear-output",
                           "--dump-weights"]),
+    ("train_softplus", ["train", "--data", SPIRAL, "--structure", "12-20-3",
+                        "--activation", "softplus", "--dump-weights"]),
+    ("train_identity", ["train", "--data", SPIRAL, "--structure", "12-3",
+                        "--activation", "identity", "--linear-output",
+                        "--dump-weights"]),
+    ("train_exp", ["train", "--data", SPIRAL, "--structure", "12-20-3",
+                   "--activation", "exp:0.5", "--dump-weights"]),
+    ("train_order", ["train", "--data", SPIRAL, "--structure", "12-10-8-3",
+                     "--solve-order", "2,1,3", "--dump-weights"]),
     ("cv", ["cv", "--data", "iris_like.csv", "--grid", "1,2,5", "--folds", "3",
             "--trials", "2"]),
     ("variance", ["variance", "--trials", "40", "--seed", "3"]),

@@ -27,7 +27,12 @@ __all__ = [
 
 LN_08 = math.log(0.8)
 
-_VARIANTS = ("identity", "softplus", "softplus08", "exp_scaled")
+# each variant's lower bound L: the infimum of its range
+_LOWER_BOUNDS = {"identity": -math.inf, "softplus": 0.0, "softplus08": LN_08,
+                 "exp_scaled": 0.0}
+
+# by default, inverse inputs below L + 1e-9 are raised to that floor
+_DEFAULT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class ActivationKind:
     alpha: float = 1e-4
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in _LOWER_BOUNDS:
             raise InvalidArgumentError(f"unknown activation {self.variant!r}")
         if self.variant == "exp_scaled" and not 0 < self.alpha < math.inf:
             raise InvalidArgumentError("exp_scaled alpha must be finite and > 0")
@@ -63,13 +68,7 @@ class ActivationKind:
     @property
     def lower_bound(self) -> float:
         """Infimum of the range; the inverse domain is (lower_bound, inf)."""
-        if self.variant == "identity":
-            return -math.inf
-        if self.variant == "softplus":
-            return 0.0
-        if self.variant == "softplus08":
-            return LN_08
-        return 0.0
+        return _LOWER_BOUNDS[self.variant]
 
 
 def format_kind(kind: ActivationKind) -> str:
@@ -91,7 +90,9 @@ def parse_kind(text: str) -> ActivationKind:
     raise InvalidArgumentError(f"unknown activation string {text!r}")
 
 
-def _apply_array(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
+def apply(kind: ActivationKind, a):
+    """f(a) entrywise."""
+    x = as_array(a, "activation input")
     if kind.variant == "identity":
         return np.array(x, copy=True)
     if kind.variant == "softplus":
@@ -103,14 +104,11 @@ def _apply_array(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(kind.alpha * x, -700.0, 700.0))
 
 
-def apply(kind: ActivationKind, a):
-    """f(a) entrywise."""
-    return _apply_array(kind, as_array(a, "activation input"))
-
-
-def _invert_array(kind: ActivationKind, y: np.ndarray, clamp_margin):
-    """Returns (g(y), clamped_count); raises on out-of-domain when the
-    clamp is disabled (margin None) or cannot help (margin 0)."""
+def invert_with_count(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
+    """g(y) entrywise plus the number of entries raised to the clamp floor;
+    raises on out-of-domain when the clamp is disabled (margin None) or
+    cannot help (margin 0)."""
+    y = as_array(y, "inverse input")
     low = kind.lower_bound
     clamped = 0
     if math.isfinite(low):
@@ -149,12 +147,7 @@ def _invert_array(kind: ActivationKind, y: np.ndarray, clamp_margin):
     return out, clamped
 
 
-def invert_with_count(kind: ActivationKind, y, clamp_margin=1e-9):
-    """g(y) entrywise plus the number of entries raised to the clamp floor."""
-    return _invert_array(kind, as_array(y, "inverse input"), clamp_margin)
-
-
-def invert(kind: ActivationKind, y, clamp_margin=1e-9):
+def invert(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
     """g(y) entrywise.
 
     Entries below lower_bound + clamp_margin are raised to that floor

@@ -46,9 +46,11 @@ class VarianceConfig:
         if self.max_depth < 1:
             raise InvalidArgumentError("max_depth must be >= 1")
         lo, hi = self.input_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        # the draws span [lo, hi], whose width hi - lo must be finite too
+        if not (lo < hi and math.isfinite(hi - lo)):
             raise InvalidArgumentError(
-                f"input_range must be finite with lo < hi, got {self.input_range}")
+                f"input_range must be finite with lo < hi and a finite span "
+                f"hi - lo, got {self.input_range}")
         if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
             raise InvalidArgumentError(
                 f"noise_scale must be finite and > 0, got {self.noise_scale!r}")

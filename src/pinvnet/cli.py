@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .activations import format_kind, parse_kind
+from .activations import _DEFAULT_MARGIN, format_kind, parse_kind
 from .analysis import (VarianceConfig, VarianceReport, mc_output_variance,
                        write_variance_csv)
 from .datasets import (
@@ -71,11 +71,15 @@ def _bad(flag, what, value):
 
 
 def _number(kind):
+    """A converter to `kind` that takes text or a JSON number; an int
+    option takes no float and neither takes a JSON boolean."""
     def convert(value, flag):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise _bad(flag, f"a {kind.__name__} value", value) from None
+        if isinstance(value, (str, int, kind)) and not isinstance(value, bool):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        raise _bad(flag, f"a number of type {kind.__name__}", value)
     return convert
 
 
@@ -123,23 +127,22 @@ def _margin(value, flag):
     return None if value is None else _float(value, flag)
 
 
-def _numbers(value, kind, flag):
-    """A comma-separated flag value, or a list from the config file, as a
-    list of `kind`."""
-    items = value.split(",") if isinstance(value, str) else value
-    try:
-        return [kind(v) for v in items]
-    except (TypeError, ValueError):
-        raise _bad(flag, f"comma-separated {kind.__name__} values",
-                   value) from None
+def _numbers(value, convert, flag):
+    """A comma-separated flag value, or a list from the config file, each
+    item converted like a single value."""
+    if isinstance(value, str):
+        value = value.split(",")
+    if not isinstance(value, (list, tuple)):
+        raise _bad(flag, "comma-separated values or a list", value)
+    return [convert(v, flag) for v in value]
 
 
 def _ints(value, flag):
-    return _numbers(value, int, flag)
+    return _numbers(value, _int, flag)
 
 
 def _range(value, flag):
-    lo_hi = _numbers(value, float, flag)
+    lo_hi = _numbers(value, _float, flag)
     if len(lo_hi) != 2:
         raise _bad(flag, "lo,hi", value)
     return lo_hi
@@ -170,7 +173,7 @@ _SOLVER = (
            "skip the final activation on output"),
     Option("c", 1.0, _float, "placeholder scale factor"),
     _SEED,
-    Option("clamp_margin", 1e-9, _margin),
+    Option("clamp_margin", _DEFAULT_MARGIN, _margin),
     Option("tolerance", "auto", _tolerance,
            "'auto' or an absolute singular-value cutoff"),
     Option("ridge", 0.0, _float),

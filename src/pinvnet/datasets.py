@@ -12,7 +12,7 @@ import numpy as np
 from .activations import ActivationKind
 from .errors import CsvParseError, InvalidArgumentError, InvalidConfigurationError
 from .linalg import _write_csv, as_array, sse
-from .network import LayerSpec, NetworkSpec, forward
+from .network import NetworkSpec, forward
 from .parallel import map_jobs
 from .training import TrainConfig, train
 
@@ -109,16 +109,18 @@ def gen_regression(noisy_sets: int = 0, noise_frac: float = 0.0, seed: int = 0):
     range. Test set: the 721-point grid x = 0.90, 0.91, ..., 8.10 with
     clean targets. Returns (list of train Datasets, test Dataset).
     """
-    if not (math.isfinite(noise_frac) and noise_frac >= 0):
-        raise InvalidArgumentError(
-            f"noise_frac must be finite and >= 0, got {noise_frac!r}")
     if noisy_sets < 0:
         raise InvalidArgumentError("noisy_sets must be >= 0")
     x = np.arange(1.0, 9.0).reshape(-1, 1)
     y = _sinc2(x)
+    amp = noise_frac * float(y.max() - y.min())
+    # the draws span [-amp, amp], whose width must be a finite float too
+    if not (noise_frac >= 0 and math.isfinite(2.0 * amp)):
+        raise InvalidArgumentError(
+            f"noise_frac must be finite and >= 0 with a finite noise span, "
+            f"got {noise_frac!r}")
     trains = [Dataset(x, y)]
     rng = np.random.default_rng(seed)
-    amp = noise_frac * float(y.max() - y.min())
     for _ in range(noisy_sets):
         noisy = y + rng.uniform(-amp, amp, y.shape)
         trains.append(Dataset(x, noisy))
@@ -398,8 +400,7 @@ def _spec_for(ds: Dataset, template: str, h: int,
         raise InvalidConfigurationError(
             f"template {template!r} must end at the target width {q}"
         )
-    layers = tuple(LayerSpec(w, None, activation) for w in widths)
-    return NetworkSpec(ds.x.shape[1], layers, linear_output)
+    return NetworkSpec(ds.x.shape[1], widths, activation, linear_output)
 
 
 def _split(ds: Dataset, tr_idx, te_idx, linear_output: bool):
@@ -526,11 +527,20 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     )
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with its quotes doubled, when it holds
+    a comma, a quote or a line break, and as is otherwise."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Features at full precision plus a trailing label column (class name
     for classification, numeric target otherwise). No header."""
     if ds.kind == "regression":
         _write_csv(path, np.hstack([ds.x, ds.y]))
     else:
-        names = ds.class_labels or tuple(str(j) for j in range(ds.y.shape[1]))
+        names = [_csv_field(name) for name in
+                 ds.class_labels or tuple(str(j) for j in range(ds.y.shape[1]))]
         _write_csv(path, ds.x, [names[k] for k in ds.labels])

@@ -1,13 +1,13 @@
 """Network topology, bias augmentation, banded receptive fields, forward pass.
 
-A network is a chain of widths; the raw input is augmented with a leading
-all-ones column once, inner layers carry no bias. Layer k computes
-f_k(A_{k-1} W_k); with linear_output the last activation is skipped.
+A network is a chain of widths with one activation f; the raw input is
+augmented with a leading all-ones column once, inner layers carry no bias.
+Layer k computes f(A_{k-1} W_k); with linear_output the last f is skipped.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -17,7 +17,6 @@ from .errors import InvalidArgumentError
 from .linalg import Matrix, as_array
 
 __all__ = [
-    "LayerSpec",
     "NetworkSpec",
     "WeightSet",
     "augment",
@@ -31,42 +30,40 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """width h_k, receptive_field None for full or an odd band size r,
-    and the layer's activation."""
-
-    width: int
-    receptive_field: Optional[int] = None
-    activation: ActivationKind = field(default_factory=ActivationKind.softplus08)
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise InvalidArgumentError("layer width must be >= 1")
-        r = self.receptive_field
-        if r is not None and (r < 1 or r % 2 == 0):
-            raise InvalidArgumentError(f"receptive field must be odd >= 1, got {r}")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
+    """Layer widths h_1..h_n and the one activation f every layer applies
+    (the output layer skips it with linear_output). receptive_fields None
+    connects every layer fully; otherwise it holds one entry per layer,
+    None for full or an odd band size r."""
+
     input_dim: int
-    layers: Tuple[LayerSpec, ...]
+    widths: Tuple[int, ...]
+    activation: ActivationKind
     linear_output: bool = False
+    receptive_fields: Optional[Tuple[Optional[int], ...]] = None
 
     def __post_init__(self):
+        widths = tuple(self.widths)
+        bands = (tuple(self.receptive_fields) if self.receptive_fields is not None
+                 else (None,) * len(widths))
         if self.input_dim < 1:
             raise InvalidArgumentError("input_dim must be >= 1")
-        if not self.layers:
+        if not widths:
             raise InvalidArgumentError("need at least one layer")
-        object.__setattr__(self, "layers", tuple(self.layers))
+        if len(bands) != len(widths):
+            raise InvalidArgumentError(
+                f"{len(bands)} receptive fields for {len(widths)} layers")
+        if min(widths) < 1:
+            raise InvalidArgumentError("layer width must be >= 1")
+        for r in bands:
+            if r is not None and (r < 1 or r % 2 == 0):
+                raise InvalidArgumentError(f"receptive field must be odd >= 1, got {r}")
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "receptive_fields", bands)
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def widths(self) -> Tuple[int, ...]:
-        return tuple(l.width for l in self.layers)
+        return len(self.widths)
 
     @property
     def in_dims(self) -> Tuple[int, ...]:
@@ -150,18 +147,11 @@ def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.nd
 
 def default_masks(spec: NetworkSpec):
     """Per-layer masks implied by banded receptive fields (None when full)."""
-    out = []
-    for k, layer in enumerate(spec.layers):
-        if layer.receptive_field is None:
-            out.append(None)
-        else:
-            out.append(
-                receptive_mask(
-                    spec.in_dims[k], layer.width, layer.receptive_field,
-                    biased_input=(k == 0),
-                )
-            )
-    return out
+    return [
+        None if r is None
+        else receptive_mask(spec.in_dims[k], spec.widths[k], r, biased_input=(k == 0))
+        for k, r in enumerate(spec.receptive_fields)
+    ]
 
 
 def _check_chain(spec: NetworkSpec, w: WeightSet):
@@ -191,7 +181,7 @@ def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
         )
     a = augment(x)
     for k in range(upto_layer):
-        a = apply(spec.layers[k].activation, a @ w.weights[k].array)
+        a = apply(spec.activation, a @ w.weights[k].array)
     return a
 
 
@@ -200,7 +190,7 @@ def forward(spec: NetworkSpec, w: WeightSet, x_raw):
     a = hidden_activation(spec, w, x_raw, spec.n_layers - 1)
     z = a @ w.weights[-1].array
     if not spec.linear_output:
-        z = apply(spec.layers[-1].activation, z)
+        z = apply(spec.activation, z)
     return Matrix(z)
 
 
@@ -222,10 +212,6 @@ def parse_structure(text: str):
 
 def build_spec(structure: str, input_dim: int, activation: ActivationKind,
                linear_output: bool = False) -> NetworkSpec:
-    """NetworkSpec from a structure string; the activation applies to every
-    layer (network-wide, per the structure grammar)."""
-    layers = tuple(
-        LayerSpec(width, band, activation)
-        for width, band in parse_structure(structure)
-    )
-    return NetworkSpec(input_dim, layers, linear_output)
+    """NetworkSpec from a structure string and the network's activation."""
+    widths, bands = zip(*parse_structure(structure))
+    return NetworkSpec(input_dim, widths, activation, linear_output, bands)

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .activations import apply as _apply, invert_with_count
+from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
 from .errors import InvalidArgumentError, InvalidConfigurationError
 from .linalg import _DEFAULT_OPTS, PinvOptions, _pinv_array, as_array, sse
 from .network import NetworkSpec, WeightSet, augment, default_masks
@@ -77,7 +77,7 @@ class InitScheme:
 class TrainConfig:
     init: InitScheme
     pinv_opts: PinvOptions = _DEFAULT_OPTS
-    clamp_margin: Optional[float] = 1e-9
+    clamp_margin: Optional[float] = _DEFAULT_MARGIN
     record_intermediates: bool = False
 
     def __post_init__(self):
@@ -100,25 +100,24 @@ class TrainReport:
     intermediates: Optional[list] = None
 
 
-def _pull_step(t, wj, gj, skip_inverse, clamp_margin, opts):
-    """One back-chain step through layer j: the functional inverse g_j
+def _pull_step(t, wj, f, skip_inverse, clamp_margin, opts):
+    """One back-chain step through layer j: the functional inverse of f
     (skipped for a linear output layer), then a right-multiply by the
     pseudoinverse of W_j. Returns (target, clamped entry count)."""
     clamped = 0
     if not skip_inverse:
-        t, clamped = invert_with_count(gj, t, clamp_margin)
+        t, clamped = invert_with_count(f, t, clamp_margin)
     return t @ _pinv_array(wj, opts), clamped
 
 
-def back_target(y, weights_after, activations_after, linear_output,
-                clamp_margin=1e-9, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
+def back_target(y, weights_after, activation, linear_output,
+                clamp_margin=_DEFAULT_MARGIN, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
     """Back-propagated target for a layer, given the downstream weights in
-    output-to-inner order. The layer's own inverse is not applied here."""
+    output-to-inner order and the network's activation. The layer's own
+    inverse is not applied here."""
     t = as_array(y, "y")
-    if len(weights_after) != len(activations_after):
-        raise InvalidArgumentError("weights_after / activations_after mismatch")
-    for idx, (wj, gj) in enumerate(zip(weights_after, activations_after)):
-        t, _ = _pull_step(t, as_array(wj, "weights_after"), gj,
+    for idx, wj in enumerate(weights_after):
+        t, _ = _pull_step(t, as_array(wj, "weights_after"), activation,
                           idx == 0 and linear_output, clamp_margin, pinv_opts)
     return t
 
@@ -208,7 +207,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
 
     n = spec.n_layers
     m = x.shape[0]
-    acts = [layer.activation for layer in spec.layers]
+    f = spec.activation
     masks = default_masks(spec)
     xa = augment(x)
     opts = cfg.pinv_opts
@@ -258,7 +257,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     for k in order:
         while len(designs) < k:
             j = len(designs)
-            designs.append(_apply(acts[j - 1], designs[-1] @ w[j]))
+            designs.append(_apply(f, designs[-1] @ w[j]))
         a = designs[k - 1]
         solves_identity = data_matrix and k < n
         if solves_identity:
@@ -269,12 +268,12 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             while len(pulled) <= n - k:
                 j = n + 1 - len(pulled)
                 t, clamped = pulled[-1]
-                t, c1 = _pull_step(t, w[j], acts[j - 1],
-                                   j == n and spec.linear_output, margin, opts)
+                t, c1 = _pull_step(t, w[j], f, j == n and spec.linear_output,
+                                   margin, opts)
                 pulled.append((t, clamped + c1))
             t, clamped = pulled[n - k]
             if not (k == n and spec.linear_output):
-                t, c2 = invert_with_count(acts[k - 1], t, margin)
+                t, c2 = invert_with_count(f, t, margin)
                 clamped += c2
             if masks[k - 1] is not None:
                 wk = solve_masked_layer(a, t, masks[k - 1], opts)
@@ -296,7 +295,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
 
     # layer n was solved last, so `a` is its design under the final weights
     z = a @ w[n]
-    out = z if spec.linear_output else _apply(acts[-1], z)
+    out = z if spec.linear_output else _apply(f, z)
     report = TrainReport(
         weights=weights,
         train_sse=sse(out, yarr),

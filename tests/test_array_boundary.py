@@ -56,7 +56,7 @@ CASES = {
     "hidden_activation": lambda tmp_path: [
         hidden_activation(SPEC, _weights(), A[:, :2], k) for k in (0, 2)],
     "back_target": lambda tmp_path: [
-        back_target(Matrix(Y), [Matrix(np.eye(2))], [SP], False)],
+        back_target(Matrix(Y), [Matrix(np.eye(2))], SP, False)],
     "solve_masked_layer": lambda tmp_path: [
         solve_masked_layer(Matrix(A), Y, np.eye(3, 2, dtype=bool))],
     "TrainReport.intermediates": _intermediates,

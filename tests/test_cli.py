@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 
 import numpy as np
@@ -231,13 +232,16 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
          "clamp_margin"),
         (["train", "--structure", "4-3", "--activation", "exp:inf"], "alpha"),
         (["variance", "--activation", "exp:inf"], "alpha"),
+        (["variance", "--range=-1e308,1e308"], "input_range"),
+        (["synth", "regression", "--noise", "1.7e308"], "noise_frac"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
          "range-minus-inf", "tolerance-nan", "ridge-nan", "train-seed",
          "variance-seed", "selfcheck-seed", "regression-noise-inf",
          "regression-noise-nan", "c-inf", "clamp-margin-nan",
-         "train-exp-inf", "variance-exp-inf"],
+         "train-exp-inf", "variance-exp-inf", "range-span-overflow",
+         "regression-noise-span-overflow"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):
@@ -322,12 +326,24 @@ def test_bad_shapes_argument_exits_2(capsys):
         (["cv"], {"template": 3}, "--template"),
         (["train", "--structure", "4-3"], {"activation": 1}, "--activation"),
         (["train"], {"structure": 5}, "--structure"),
+        (["cv"], {"folds": 2.9}, "--folds"),
+        (["train", "--structure", "4-3"], {"seed": True}, "--seed"),
+        (["selfcheck"], {"count": 1e308}, "--count"),
+        (["cv"], {"grid": [2.5]}, "--grid"),
+        (["train", "--structure", "4-3"], {"solve_order": [True]},
+         "--solve-order"),
+        (["variance"], {"range": [True, 2]}, "--range"),
+        (["train", "--structure", "4-3"], {"c": False}, "--c"),
+        (["cv"], {"grid": 5}, "--grid"),
     ],
     ids=["cv-folds", "cv-trials", "cv-c", "cv-clamp-margin", "train-seed",
          "train-clamp-margin", "train-ridge", "train-tolerance", "spiral-arms",
          "regression-noise", "variance-max-depth", "selfcheck-count",
          "selfcheck-inject-fault", "train-header", "train-linear-output",
-         "cv-template", "train-activation", "train-structure"],
+         "cv-template", "train-activation", "train-structure",
+         "cv-folds-float", "train-seed-bool", "selfcheck-count-huge-float",
+         "cv-grid-float", "train-solve-order-bool", "variance-range-bool",
+         "train-c-bool", "cv-grid-not-a-list"],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, spiral_csv, argv, config,
                                   message):
@@ -412,3 +428,79 @@ def test_help_lists_a_flag_for_every_config_key(tmp_path, capsys, command):
     assert stop.value.code == 0
     flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
     assert {"--" + key.replace("_", "-") for key in keys} <= flags
+
+
+
+# every option of every subcommand, set through --config to each of these
+HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, 1e308, "", "x", [], None,
+           True]
+NON_FINITE = re.compile(r"(?i)\bnan\b|\binf(inity)?\b")
+SWEEP_BASE = {
+    ("train",): {"structure": "4-3"},
+    ("cv",): {"grid": [1, 2], "folds": 2, "trials": 1},
+    ("synth", "spiral"): {"arms": 2, "per_arm": 4},
+    ("synth", "regression"): {"noisy_sets": 1},
+    ("variance",): {"m": 6, "d": 2, "trials": 2, "max_depth": 3},
+    ("selfcheck",): {"shapes": "4x3", "count": 3},
+}
+# the structured error types each failing exit code may carry
+ERROR_TYPES = {2: ("invalid-input", "file-not-found"),
+               1: ("error", "domain-violation")}
+
+
+def _error_type(stderr):
+    """The type of the structured error on stderr's last line, or None."""
+    try:
+        return json.loads(stderr.strip().splitlines()[-1])["error"]["type"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+@pytest.mark.parametrize("command", list(SWEEP_BASE), ids="-".join)
+def test_hostile_config_values_end_cleanly(tmp_path, capsys, monkeypatch,
+                                           command):
+    """Each run exits 0, exits 2 with a structured invalid-input or
+    file-not-found error, exits 1 with a structured error (or, for
+    selfcheck --inject-fault, its FAILED verdict), and never raises, prints
+    a traceback or writes a non-finite number into an artifact."""
+    from pinvnet import cli, parallel
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+    data = tmp_path / "tiny.csv"
+    data.write_text("".join(f"{i / 9},{(i * 7 % 9) / 9},{'abc'[i % 3]}\n"
+                            for i in range(12)))
+    base = dict(SWEEP_BASE[command])
+    if command[0] in ("train", "cv"):
+        base["data"] = str(data)
+    options = cli.build_parser().parse_args(list(command)).options
+    problems = []
+    for opt in options:
+        for i, value in enumerate(HOSTILE):
+            run = tmp_path / f"{opt.name}_{i}"
+            run.mkdir()
+            monkeypatch.chdir(run)
+            (run / "cfg.json").write_text(json.dumps({**base, opt.name: value}))
+            case = f"{opt.name}={value!r}"
+            try:
+                code = main([*command, "--config", "cfg.json"])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                code = f"raised {exc!r}"
+            out, err = capsys.readouterr()
+            verdict = opt.name == "inject_fault" and code == 1 and "FAILED" in out
+            if "Traceback" in err:
+                problems.append(f"{case} printed a traceback")
+            elif not (code == 0 or verdict
+                      or _error_type(err) in ERROR_TYPES.get(code, ())):
+                problems.append(f"{case} ended with {code}: {err[-200:]}")
+            for path in run.rglob("*"):
+                if path.is_file() and path.name != "cfg.json":
+                    text = path.read_text(encoding="utf-8")
+                    if path.suffix == ".json":
+                        json.loads(text, parse_constant=_reject_constant)
+                    if NON_FINITE.search(text):
+                        problems.append(f"{case} wrote a non-finite {path.name}")
+    assert not problems, "\n".join(problems)

@@ -478,6 +478,20 @@ def test_write_dataset_csv_round_trips_through_load(tmp_path):
     assert back.class_labels == train_ds.class_labels
 
 
+def test_write_dataset_csv_quotes_class_names_that_need_it(tmp_path):
+    src = tmp_path / "in.csv"
+    src.write_text('1,2,"a,b"\n3,4,c\n5,6,"say ""hi"""\n7,8,"two\nlines"\n')
+    ds = load_csv(src)
+    assert ds.class_labels == ("a,b", "c", 'say "hi"', "two\nlines")
+    out = tmp_path / "out.csv"
+    write_dataset_csv(ds, out)
+    assert out.read_text().splitlines()[:2] == ['1,2,"a,b"', "3,4,c"]
+    back = load_csv(out)
+    assert np.array_equal(back.x, ds.x)
+    assert np.array_equal(back.labels, ds.labels)
+    assert back.class_labels == ds.class_labels
+
+
 def test_dataset_validates_classification_targets():
     with pytest.raises(InvalidArgumentError):
         Dataset(np.eye(2), np.ones((2, 2)), ("a", "b"),

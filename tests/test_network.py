@@ -4,7 +4,6 @@ import pytest
 from pinvnet.activations import ActivationKind
 from pinvnet.errors import InvalidArgumentError
 from pinvnet.network import (
-    LayerSpec,
     NetworkSpec,
     WeightSet,
     augment,
@@ -20,10 +19,8 @@ SP = ActivationKind.softplus08()
 ID = ActivationKind.identity()
 
 
-def _spec(widths, input_dim, activation=ID, linear_output=True, fields=None):
-    fields = fields or [None] * len(widths)
-    layers = tuple(LayerSpec(w, r, activation) for w, r in zip(widths, fields))
-    return NetworkSpec(input_dim, layers, linear_output)
+def _spec(widths, input_dim, activation=ID, linear_output=True):
+    return NetworkSpec(input_dim, widths, activation, linear_output)
 
 
 def test_augment_prepends_a_ones_column():
@@ -83,8 +80,8 @@ def test_build_spec_rejects_semantically_invalid_structures(bad):
 def test_build_spec_and_format_round_trip():
     spec = build_spec("8^r3-4-1", input_dim=2, activation=SP,
                       linear_output=True)
-    assert [l.receptive_field for l in spec.layers] == [3, None, None]
-    assert all(l.activation == SP for l in spec.layers)
+    assert spec.receptive_fields == (3, None, None)
+    assert spec.activation == SP
     assert spec.input_dim == 2
     assert spec.n_layers == 3
     assert spec.widths == (8, 4, 1)
@@ -153,8 +150,19 @@ def test_forward_rejects_mismatched_weight_shapes():
 
 def test_network_spec_validates_dimensions():
     with pytest.raises(InvalidArgumentError):
-        NetworkSpec(0, (LayerSpec(3),))
+        NetworkSpec(0, (3,), SP)
     with pytest.raises(InvalidArgumentError):
-        NetworkSpec(2, ())
+        NetworkSpec(2, (), SP)
     with pytest.raises(InvalidArgumentError):
-        LayerSpec(0)
+        NetworkSpec(2, (3, 0), SP)
+    for bands in ((2, None), (-1, None), (3,)):
+        with pytest.raises(InvalidArgumentError):
+            NetworkSpec(2, (3, 1), SP, receptive_fields=bands)
+
+
+def test_network_spec_defaults_to_full_layers_and_stores_tuples():
+    spec = NetworkSpec(2, [3, 1], SP)
+    assert spec.widths == (3, 1)
+    assert spec.receptive_fields == (None, None)
+    assert spec == NetworkSpec(2, (3, 1), SP, False, [None, None])
+    assert default_masks(spec) == [None, None]

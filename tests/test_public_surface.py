@@ -18,7 +18,8 @@ def test_package_all_is_the_module_lists_without_duplicates():
 def test_deleted_and_internal_names_are_not_exported():
     for name in ("representation_check", "RepresentationReport",
                  "squared_bias", "variance_chain", "solve_least_squares",
-                 "read_matrix_csv", "map_jobs", "as_array", "format_structure"):
+                 "read_matrix_csv", "map_jobs", "as_array", "format_structure",
+                 "LayerSpec"):
         assert not hasattr(pinvnet, name), name
 
 

@@ -73,7 +73,7 @@ def test_back_target_peels_one_linear_layer():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((6, 2))
     w2 = rng.standard_normal((4, 2))
-    t = back_target(y, [w2], [ID], linear_output=True)
+    t = back_target(y, [w2], ID, linear_output=True)
     assert np.allclose(t, y @ pinv(w2), atol=1e-13)
 
 
@@ -81,7 +81,7 @@ def test_back_target_applies_inverse_activation_before_peeling():
     rng = np.random.default_rng(6)
     y = rng.uniform(0.5, 2.0, (6, 2))
     w2 = rng.standard_normal((4, 2))
-    t = back_target(y, [w2], [SP], linear_output=False)
+    t = back_target(y, [w2], SP, linear_output=False)
     assert np.allclose(t, invert(SP, y) @ pinv(w2), atol=1e-13)
 
 
@@ -94,8 +94,7 @@ def test_back_target_feasibility_reproduces_deep_targets():
     w2 = rng.standard_normal((4, 3))
     w3 = rng.standard_normal((3, 3))
     y = apply(SP, apply(SP, a1 @ w2) @ w3)
-    t = back_target(y, [w3, w2], [SP, SP],
-                    linear_output=False)
+    t = back_target(y, [w3, w2], SP, linear_output=False)
     assert np.allclose(apply(SP, apply(SP, t @ w2) @ w3), y, atol=1e-8)
 
 
@@ -320,7 +319,7 @@ def _reference_train(spec, x, y, cfg):
     factorizations in the default order. Returns (weights, residuals,
     clamp counts, intermediates) as plain arrays."""
     n = spec.n_layers
-    acts = [layer.activation for layer in spec.layers]
+    f = spec.activation
     masks = default_masks(spec)
     xa = augment(x)
     opts, margin = cfg.pinv_opts, cfg.clamp_margin
@@ -344,15 +343,15 @@ def _reference_train(spec, x, y, cfg):
     for k in order:
         a = xa
         for j in range(1, k):
-            a = apply(acts[j - 1], a @ eff(j))
+            a = apply(f, a @ eff(j))
         t, clamped = y, 0
         for j in range(n, k, -1):
             if not (j == n and spec.linear_output):
-                t, cj = invert_with_count(acts[j - 1], t, margin)
+                t, cj = invert_with_count(f, t, margin)
                 clamped += cj
             t = t @ _pinv_array(eff(j), opts)
         if not (k == n and spec.linear_output):
-            t, cj = invert_with_count(acts[k - 1], t, margin)
+            t, cj = invert_with_count(f, t, margin)
             clamped += cj
         if masks[k - 1] is not None:
             wk = solve_masked_layer(a, t, masks[k - 1], opts)
@@ -371,7 +370,7 @@ def _reference_data_matrix_train(spec, x, y, cfg):
     Returns (weights, residuals, clamp counts, intermediates, train SSE)
     with plain arrays in the intermediates."""
     n, m = spec.n_layers, x.shape[0]
-    acts = [layer.activation for layer in spec.layers]
+    f = spec.activation
     opts, margin = cfg.pinv_opts, cfg.clamp_margin
     residuals, counts, inter, solved = [0.0] * n, [0] * n, [], []
     a = augment(x)
@@ -380,10 +379,10 @@ def _reference_data_matrix_train(spec, x, y, cfg):
         residuals[k - 1] = float(np.linalg.norm(a @ wk - np.eye(m)))
         inter.append({"layer": k, "design": a})
         solved.append(wk)
-        a = apply(acts[k - 1], a @ wk)
+        a = apply(f, a @ wk)
     t = y
     if not spec.linear_output:
-        t, counts[n - 1] = invert_with_count(acts[n - 1], t, margin)
+        t, counts[n - 1] = invert_with_count(f, t, margin)
     wn = _pinv_array(a, opts) @ t
     residuals[n - 1] = float(np.linalg.norm(a @ wn - t))
     inter.append({"layer": n, "design": a, "target": t})
