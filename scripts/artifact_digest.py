@@ -7,8 +7,9 @@ script); its `src/` is the code that runs. The runs are: `synth` spiral
 and regression, `train` with the random, banded and data_matrix inits
 with `--dump-weights`, `train` without it, a regression `train`, `train`
 with the softplus, identity (linear output) and `exp:0.5` activations and
-with a custom solve order, `cv` on `tests/data/iris_like.csv`, and
-`variance`. They run in a temporary
+with a custom solve order, `train` with `--ridge` (1e-10 on
+`30-30-30-3`, 1e-3 with the data_matrix init on `60-3`), `cv` on
+`tests/data/iris_like.csv`, and `variance`. They run in a temporary
 directory with relative paths, so the manifests do not depend on where
 it is, and each with one BLAS thread, the scope in which the CLI
 artifacts are byte-stable. Each output line is `sha256  path`; diff the
@@ -48,6 +49,11 @@ RUNS = (
                    "--activation", "exp:0.5", "--dump-weights"]),
     ("train_order", ["train", "--data", SPIRAL, "--structure", "12-10-8-3",
                      "--solve-order", "2,1,3", "--dump-weights"]),
+    ("train_ridge", ["train", "--data", SPIRAL, "--structure", "30-30-30-3",
+                     "--ridge", "1e-10", "--dump-weights"]),
+    ("train_ridge_data_matrix", ["train", "--data", SPIRAL, "--structure", "60-3",
+                                 "--init", "data_matrix", "--ridge", "1e-3",
+                                 "--dump-weights"]),
     ("cv", ["cv", "--data", "iris_like.csv", "--grid", "1,2,5", "--folds", "3",
             "--trials", "2"]),
     ("variance", ["variance", "--trials", "40", "--seed", "3"]),

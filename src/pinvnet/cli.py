@@ -176,7 +176,8 @@ _SOLVER = (
     Option("clamp_margin", _DEFAULT_MARGIN, _margin),
     Option("tolerance", "auto", _tolerance,
            "'auto' or an absolute singular-value cutoff"),
-    Option("ridge", 0.0, _float),
+    Option("ridge", 0.0, _float,
+           "damps each kept singular value s to s/(s^2+ridge)"),
 )
 _TRAIN = _DATA + _SOLVER + (
     Option("structure", None, _text, 'widths like "30-50^r3-250-6"'),

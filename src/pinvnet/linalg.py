@@ -70,14 +70,14 @@ def as_array(a, name="matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class PinvOptions:
-    """Pseudoinverse controls.
+    """Pseudoinverse controls: the cutoff picks the kept singular values,
+    ridge damps them.
 
-    tolerance_mode "automatic" treats singular values
-    sigma <= max(rows, cols) * eps * sigma_max as zero (the standard
-    rank-revealing convention). Mode "explicit" uses the absolute cutoff
-    `tolerance` instead; tolerance=0.0 keeps every strictly positive
-    singular value. ridge > 0 switches to the regularized closed forms
-    and ignores truncation entirely.
+    tolerance_mode "automatic" keeps sigma > max(rows, cols) * eps *
+    sigma_max (the standard rank-revealing convention); "explicit" keeps
+    sigma > `tolerance`, so tolerance=0.0 keeps every nonzero sigma. Each
+    kept sigma inverts to sigma / (sigma^2 + ridge) (Tikhonov filter
+    factors), so `explicit(0.0, ridge)` is (A^T A + ridge I)^-1 A^T.
     """
 
     tolerance_mode: str = "automatic"
@@ -108,33 +108,26 @@ _DEFAULT_OPTS = PinvOptions()
 
 
 def _pinv_array(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
-    if opts.ridge > 0.0:
-        lam = opts.ridge
-        m, n = a.shape
-        if m >= n:
-            return np.linalg.solve(a.T @ a + lam * np.eye(n), a.T)
-        return np.linalg.solve(a @ a.T + lam * np.eye(m), a).T
     return _truncated_pinv(*np.linalg.svd(a, full_matrices=False), opts)[0]
 
 
 def _truncated_pinv(u, s, vt, opts: PinvOptions):
-    """(V_r diag(1/s_r) U_r^T, U_r) from A = U diag(s) V^T, keeping the s
-    whose |s| passes the cutoff (none when s is all zero). U_r is an
-    orthonormal basis of the kept range, so A A^dagger = U_r U_r^T."""
+    """(V_r diag(f) U_r^T, U_r) from A = U diag(s) V^T, keeping the s whose
+    |s| passes the cutoff (none when s is all zero); f = 1/(s + ridge/s),
+    1/s bit for bit at ridge 0. U_r is an orthonormal basis of the kept
+    range, so A A^dagger = U_r U_r^T when ridge is 0."""
     size = np.abs(s)
     tol = (max(u.shape[0], vt.shape[1]) * EPS * size.max()
            if opts.tolerance_mode == "automatic" else opts.tolerance)
     keep = size > tol
-    return (vt[keep].T * (1.0 / s[keep])) @ u[:, keep].T, u[:, keep]
+    with np.errstate(over="ignore"):  # ridge/s = inf damps that s to 0, its limit
+        kept = s[keep] + opts.ridge / s[keep]
+    return (vt[keep].T * (1.0 / kept)) @ u[:, keep].T, u[:, keep]
 
 
 def pinv(a, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD truncation (or ridge closed form).
-
-    With ridge=0 the result satisfies the four Penrose conditions within
-    numeric tolerance. With ridge=lambda>0 returns (A^T A + lambda I)^-1 A^T
-    for tall inputs and the transposed analogue for wide ones.
-    """
+    """Pseudoinverse from one thin SVD, cut and damped as `opts` says (see
+    `PinvOptions`); at ridge=0 it meets the four Penrose conditions."""
     return _pinv_array(as_array(a, "pinv input"), opts)
 
 

@@ -270,6 +270,11 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
                 t, clamped = pulled[-1]
                 t, c1 = _pull_step(t, w[j], f, j == n and spec.linear_output,
                                    margin, opts)
+                if not np.isfinite(t).all():
+                    raise InvalidConfigurationError(
+                        f"back-chained target for layer {j - 1} is not finite "
+                        f"(clamp floor {f.lower_bound + (margin or 0.0)!r} = lower "
+                        f"bound {f.lower_bound!r} + clamp_margin {margin!r})")
                 pulled.append((t, clamped + c1))
             t, clamped = pulled[n - k]
             if not (k == n and spec.linear_output):

@@ -234,6 +234,8 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
         (["variance", "--activation", "exp:inf"], "alpha"),
         (["variance", "--range=-1e308,1e308"], "input_range"),
         (["synth", "regression", "--noise", "1.7e308"], "noise_frac"),
+        (["train", "--structure", "5-4-3", "--clamp-margin", "1e308"],
+         "clamp_margin"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
@@ -241,7 +243,7 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
          "variance-seed", "selfcheck-seed", "regression-noise-inf",
          "regression-noise-nan", "c-inf", "clamp-margin-nan",
          "train-exp-inf", "variance-exp-inf", "range-span-overflow",
-         "regression-noise-span-overflow"],
+         "regression-noise-span-overflow", "clamp-margin-overflow"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):

@@ -95,6 +95,35 @@ def test_ridge_matches_closed_forms_both_orientations():
     assert np.allclose(pw, ow, atol=1e-12)
 
 
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+@pytest.mark.parametrize("shape", [(121, 500), (300, 50)])
+def test_ridge_is_the_tikhonov_filter_on_an_ill_conditioned_svd(shape):
+    # sigma down to 1e-12 squares past eps in A^T A; the filter on the SVD
+    # itself stays accurate
+    rng = np.random.default_rng(3)
+    k = min(shape)
+    u = _orthonormal(rng, shape[0], k)
+    v = _orthonormal(rng, shape[1], k)
+    s = np.logspace(0, -12, k)
+    lam = 1e-16
+    got = pinv((u * s) @ v.T, PinvOptions.explicit(0.0, lam))
+    want = (v * (s / (s * s + lam))) @ u.T
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_ridge_damps_only_the_singular_values_the_cutoff_keeps():
+    rng = np.random.default_rng(4)
+    u = _orthonormal(rng, 6, 2)
+    v = _orthonormal(rng, 4, 2)
+    lam = 0.25
+    got = pinv((u * [1.0, 1e-3]) @ v.T, PinvOptions.explicit(1e-2, lam))
+    want = np.outer(v[:, 0], u[:, 0]) / (1.0 + lam)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
 def test_sse_worked_example():
     assert sse([[1.0, 2.0], [3.0, 4.0]], [[2.0, 4.0], [6.0, 8.0]]) == 30.0
 

@@ -297,7 +297,7 @@ def test_forward_after_training_matches_reported_sse():
         ("20-20-2", False, InitScheme.data_matrix(), PinvOptions(), (20, 3)),
         ("20-20-2", True, InitScheme.data_matrix(), PinvOptions(ridge=1e-2),
          (20, 3)),
-        # wide input: the ridge pseudoinverse of layer 1 is Fortran-ordered
+        # wide input: layer 1's ridge solve sees 9 design columns over 5 rows
         ("5-5-2", False, InitScheme.data_matrix(), PinvOptions(ridge=1e-2),
          (5, 8)),
     ],
