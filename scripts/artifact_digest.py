@@ -9,7 +9,10 @@ with `--dump-weights`, `train` without it, a regression `train`, `train`
 with the softplus, identity (linear output) and `exp:0.5` activations and
 with a custom solve order, `train` with `--ridge` (1e-10 on
 `30-30-30-3`, 1e-3 with the data_matrix init on `60-3`), `cv` on
-`tests/data/iris_like.csv`, and `variance`. They run in a temporary
+`tests/data/iris_like.csv`, and `variance`. Three data_matrix runs on
+the 60-row spiral have hidden layers, whose target is I: `60-60-3`,
+`60-60-60-3 --linear-output --tolerance 0` and `60-60-3 --ridge 1e-3`,
+all with `--dump-weights`. They run in a temporary
 directory with relative paths, so the manifests do not depend on where
 it is, and each with one BLAS thread, the scope in which the CLI
 artifacts are byte-stable. Each output line is `sha256  path`; diff the
@@ -36,6 +39,13 @@ RUNS = (
                       "--dump-weights"]),
     ("train_data_matrix", ["train", "--data", SPIRAL, "--structure", "60-3",
                            "--init", "data_matrix", "--dump-weights"]),
+    ("train_data_matrix_deep", ["train", "--data", SPIRAL, "--structure",
+                                "60-60-3", "--init", "data_matrix",
+                                "--dump-weights"]),
+    ("train_data_matrix_linear", ["train", "--data", SPIRAL, "--structure",
+                                  "60-60-60-3", "--init", "data_matrix",
+                                  "--linear-output", "--tolerance", "0",
+                                  "--dump-weights"]),
     ("train_plain", ["train", "--data", SPIRAL, "--structure", "10-3"]),
     ("train_regression", ["train", "--data", "regression/train_01.csv",
                           "--structure", "8-1", "--linear-output",
@@ -54,6 +64,9 @@ RUNS = (
     ("train_ridge_data_matrix", ["train", "--data", SPIRAL, "--structure", "60-3",
                                  "--init", "data_matrix", "--ridge", "1e-3",
                                  "--dump-weights"]),
+    ("train_ridge_data_matrix_deep", ["train", "--data", SPIRAL, "--structure",
+                                      "60-60-3", "--init", "data_matrix",
+                                      "--ridge", "1e-3", "--dump-weights"]),
     ("cv", ["cv", "--data", "iris_like.csv", "--grid", "1,2,5", "--folds", "3",
             "--trials", "2"]),
     ("variance", ["variance", "--trials", "40", "--seed", "3"]),

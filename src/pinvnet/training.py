@@ -95,30 +95,37 @@ class TrainReport:
     clamped_entry_counts: List[int]
     wall_time: float
     # with record_intermediates, one dict per solve in solve order: the
-    # layer number, its "design" and (except data_matrix hidden layers)
-    # its "target", as arrays
+    # layer number, its "design" and its "target" (I for a data_matrix
+    # hidden layer), as arrays
     intermediates: Optional[list] = None
 
 
-def _pull_step(t, wj, f, skip_inverse, clamp_margin, opts):
+def _pull_step(t, wj, f, skip_inverse, margin, opts, what):
     """One back-chain step through layer j: the functional inverse of f
     (skipped for a linear output layer), then a right-multiply by the
-    pseudoinverse of W_j. Returns (target, clamped entry count)."""
+    pseudoinverse of W_j. Returns (target, clamped entry count), or
+    raises if the target is not finite, naming `what` and clamp_margin."""
     clamped = 0
     if not skip_inverse:
-        t, clamped = invert_with_count(f, t, clamp_margin)
-    return t @ _pinv_array(wj, opts), clamped
+        t, clamped = invert_with_count(f, t, margin)
+    t = t @ _pinv_array(wj, opts)
+    if not np.isfinite(t).all():
+        raise InvalidConfigurationError(
+            f"{what} is not finite (clamp floor {f.lower_bound + (margin or 0.0)!r} "
+            f"= lower bound {f.lower_bound!r} + clamp_margin {margin!r})")
+    return t, clamped
 
 
 def back_target(y, weights_after, activation, linear_output,
                 clamp_margin=_DEFAULT_MARGIN, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
     """Back-propagated target for a layer, given the downstream weights in
-    output-to-inner order and the network's activation. The layer's own
-    inverse is not applied here."""
+    output-to-inner order and the network's activation, through `train`'s
+    pull step. The layer's own inverse is not applied here."""
     t = as_array(y, "y")
     for idx, wj in enumerate(weights_after):
         t, _ = _pull_step(t, as_array(wj, "weights_after"), activation,
-                          idx == 0 and linear_output, clamp_margin, pinv_opts)
+                          idx == 0 and linear_output, clamp_margin, pinv_opts,
+                          f"target pulled back through weights_after[{idx}]")
     return t
 
 
@@ -162,17 +169,17 @@ def _solve_order(spec: NetworkSpec, init: InitScheme):
 def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     """Solve every layer of `spec` once, in closed form.
 
-    Both init schemes run the same loop over the solve order; they differ
-    only in how they initialize. Random init draws a placeholder for each
-    layer after the first, shaped like that layer's weight, from a
-    generator seeded by cfg.init.seed. Each layer's weight is then the
-    pseudoinverse of its design matrix times its back-propagated target;
-    solved layers replace their placeholders in all later targets.
-    data_matrix init draws nothing and solves in order: each hidden layer
-    k < n solves A W = I, so W_k is the pseudoinverse of its design
+    Every layer of both init schemes is one target and one projection:
+    W_k is the pseudoinverse of its design matrix times its target.
+    Random init draws a placeholder for each layer after the first, shaped
+    like that layer's weight, from a generator seeded by cfg.init.seed,
+    and targets y pulled back through the layers after k, whose solved
+    weights replace their placeholders. data_matrix init draws nothing and
+    solves in order; each hidden layer k < n targets I, so W_k = A^+ I
     (hidden widths must equal the sample count; the residual reported is
-    ||A W_k - I||), and the output layer solves against the data like any
-    random-init layer.
+    ||A W_k - I||), and the output layer targets the data. A pull-back
+    step, here as in `back_target`, raises InvalidConfigurationError
+    naming the layer and clamp_margin when its target is not finite.
 
     Two prefix caches keep each factorization to one: the design of
     every layer up to the next one solved, carried forward from aug(x),
@@ -259,31 +266,24 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             j = len(designs)
             designs.append(_apply(f, designs[-1] @ w[j]))
         a = designs[k - 1]
-        solves_identity = data_matrix and k < n
-        if solves_identity:
-            # W_k solves A W = I: the pseudoinverse of the design itself
-            wk = _pinv_array(a, opts)
+        if data_matrix and k < n:
+            # a data_matrix hidden layer targets I, so W_k = A^+ I = A^+
             t, clamped = np.eye(m), 0
         else:
             while len(pulled) <= n - k:
                 j = n + 1 - len(pulled)
                 t, clamped = pulled[-1]
-                t, c1 = _pull_step(t, w[j], f, j == n and spec.linear_output,
-                                   margin, opts)
-                if not np.isfinite(t).all():
-                    raise InvalidConfigurationError(
-                        f"back-chained target for layer {j - 1} is not finite "
-                        f"(clamp floor {f.lower_bound + (margin or 0.0)!r} = lower "
-                        f"bound {f.lower_bound!r} + clamp_margin {margin!r})")
+                t, c1 = _pull_step(t, w[j], f, j == n and spec.linear_output, margin,
+                                   opts, f"back-chained target for layer {j - 1}")
                 pulled.append((t, clamped + c1))
             t, clamped = pulled[n - k]
             if not (k == n and spec.linear_output):
                 t, c2 = invert_with_count(f, t, margin)
                 clamped += c2
-            if masks[k - 1] is not None:
-                wk = solve_masked_layer(a, t, masks[k - 1], opts)
-            else:
-                wk = _pinv_array(a, opts) @ t
+        if masks[k - 1] is not None:
+            wk = solve_masked_layer(a, t, masks[k - 1], opts)
+        else:
+            wk = _pinv_array(a, opts) @ t
         w[k] = wk
         # layer k now differs from its placeholder: drop every cached
         # design computed through it and every pull-back through it
@@ -292,16 +292,13 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
         counts[k - 1] = clamped
         if intermediates is not None:
-            record = {"layer": k, "design": a}
-            if not solves_identity:
-                record["target"] = t
-            intermediates.append(record)
+            intermediates.append({"layer": k, "design": a, "target": t})
     weights = WeightSet(w[1:], masks)
 
     # layer n was solved last, so `a` is its design under the final weights
     z = a @ w[n]
     out = z if spec.linear_output else _apply(f, z)
-    report = TrainReport(
+    return TrainReport(
         weights=weights,
         train_sse=sse(out, yarr),
         per_layer_solve_residuals=residuals,
@@ -309,4 +306,3 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         wall_time=time.perf_counter() - t_start,
         intermediates=intermediates,
     )
-    return report

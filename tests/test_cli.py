@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pinvnet.cli import main
+from pinvnet.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -196,13 +196,24 @@ def test_variance_csv_has_one_row_per_depth(tmp_path, capsys):
     assert stdout.count("depth") == 3
 
 
-def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
+def test_selfcheck_passes_clean_and_catches_injected_fault(capsys, monkeypatch):
+    from pinvnet import cli
+    from pinvnet.linalg import pinv
+
     code, stdout, _ = _run(capsys, "selfcheck", "--shapes", "40x30",
                            "--count", "12", "--seed", "3")
     assert code == 0
     assert "selfcheck ok" in stdout
+    # negative control: the first inverse comes back twice too large
+    calls = []
+
+    def faulty_pinv(a):
+        calls.append(a)
+        return pinv(a) * (2.0 if len(calls) == 1 else 1.0)
+
+    monkeypatch.setattr(cli, "pinv", faulty_pinv)
     code, stdout, _ = _run(capsys, "selfcheck", "--shapes", "40x30",
-                           "--count", "12", "--seed", "3", "--inject-fault")
+                           "--count", "12", "--seed", "3")
     assert code == 1
     assert "FAILED" in stdout
 
@@ -236,6 +247,9 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
         (["synth", "regression", "--noise", "1.7e308"], "noise_frac"),
         (["train", "--structure", "5-4-3", "--clamp-margin", "1e308"],
          "clamp_margin"),
+        (["train", "--structure", "4-3", "--activation", "foo"], "--activation"),
+        (["variance", "--activation", "foo"], "--activation"),
+        (["train", "--structure", "5-x-3"], "--structure"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
@@ -243,7 +257,9 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys):
          "variance-seed", "selfcheck-seed", "regression-noise-inf",
          "regression-noise-nan", "c-inf", "clamp-margin-nan",
          "train-exp-inf", "variance-exp-inf", "range-span-overflow",
-         "regression-noise-span-overflow", "clamp-margin-overflow"],
+         "regression-noise-span-overflow", "clamp-margin-overflow",
+         "train-activation-unknown", "variance-activation-unknown",
+         "train-structure-token"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):
@@ -289,6 +305,26 @@ def test_non_finite_results_exit_1_and_write_nothing(tmp_path, capsys, argv,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "structure, margin", [("5-4-3", "1e200"), ("5-3", "1e308")],
+    ids=["overflow-sse", "overflow-residuals-only"])
+def test_overflowing_train_fails_with_one_line_naming_the_field(
+        tmp_path, capsys, spiral_csv, structure, margin):
+    # 1e200 overflows train_sse and the residuals; 1e308 only the
+    # residuals, while train_sse stays finite
+    capsys.readouterr()
+    code, stdout, stderr = _run(capsys, "train", "--data", str(spiral_csv),
+                                "--structure", structure, "--clamp-margin",
+                                margin, "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    err = json.loads(stderr)["error"]
+    assert err["type"] == "error"
+    assert "per_layer_solve_residuals" in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"4-3"'],
                          ids=["invalid", "array", "string"])
 def test_malformed_config_file_exits_2(tmp_path, capsys, spiral_csv, text):
@@ -321,7 +357,6 @@ def test_bad_shapes_argument_exits_2(capsys):
         (["synth", "regression"], {"noise": None}, "--noise"),
         (["variance"], {"max_depth": "deep"}, "--max-depth"),
         (["selfcheck"], {"count": "x"}, "--count"),
-        (["selfcheck"], {"inject_fault": "false"}, "--inject-fault"),
         (["train", "--structure", "4-3"], {"header": "false"}, "--header"),
         (["train", "--structure", "4-3"], {"linear_output": "false"},
          "--linear-output"),
@@ -341,7 +376,7 @@ def test_bad_shapes_argument_exits_2(capsys):
     ids=["cv-folds", "cv-trials", "cv-c", "cv-clamp-margin", "train-seed",
          "train-clamp-margin", "train-ridge", "train-tolerance", "spiral-arms",
          "regression-noise", "variance-max-depth", "selfcheck-count",
-         "selfcheck-inject-fault", "train-header", "train-linear-output",
+         "train-header", "train-linear-output",
          "cv-template", "train-activation", "train-structure",
          "cv-folds-float", "train-seed-bool", "selfcheck-count-huge-float",
          "cv-grid-float", "train-solve-order-bool", "variance-range-bool",
@@ -424,7 +459,8 @@ def test_help_lists_a_flag_for_every_config_key(tmp_path, capsys, command):
     assert code == 2
     message = json.loads(stderr.strip().splitlines()[-1])["error"]["message"]
     keys = ast.literal_eval(message.split("valid: ")[1])
-    assert len(keys) >= 4
+    options = build_parser().parse_args(command).options
+    assert keys == sorted(opt.name for opt in options)
     with pytest.raises(SystemExit) as stop:
         main(command + ["--help"])
     assert stop.value.code == 0
@@ -466,9 +502,9 @@ def _reject_constant(token):
 def test_hostile_config_values_end_cleanly(tmp_path, capsys, monkeypatch,
                                            command):
     """Each run exits 0, exits 2 with a structured invalid-input or
-    file-not-found error, exits 1 with a structured error (or, for
-    selfcheck --inject-fault, its FAILED verdict), and never raises, prints
-    a traceback or writes a non-finite number into an artifact."""
+    file-not-found error, or exits 1 with a structured error, and never
+    raises, prints a traceback or writes a non-finite number into an
+    artifact."""
     from pinvnet import cli, parallel
 
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
@@ -491,12 +527,10 @@ def test_hostile_config_values_end_cleanly(tmp_path, capsys, monkeypatch,
                 code = main([*command, "--config", "cfg.json"])
             except BaseException as exc:  # noqa: BLE001 - reported below
                 code = f"raised {exc!r}"
-            out, err = capsys.readouterr()
-            verdict = opt.name == "inject_fault" and code == 1 and "FAILED" in out
+            err = capsys.readouterr().err
             if "Traceback" in err:
                 problems.append(f"{case} printed a traceback")
-            elif not (code == 0 or verdict
-                      or _error_type(err) in ERROR_TYPES.get(code, ())):
+            elif not (code == 0 or _error_type(err) in ERROR_TYPES.get(code, ())):
                 problems.append(f"{case} ended with {code}: {err[-200:]}")
             for path in run.rglob("*"):
                 if path.is_file() and path.name != "cfg.json":

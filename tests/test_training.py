@@ -98,6 +98,15 @@ def test_back_target_feasibility_reproduces_deep_targets():
     assert np.allclose(apply(SP, apply(SP, t @ w2) @ w3), y, atol=1e-8)
 
 
+def test_back_target_raises_when_its_target_overflows():
+    # 1e300 times pinv([[1e-300]]) = 1e300 overflows; the pull step that
+    # train shares raises instead of returning inf
+    y, w = np.array([[1e300]]), np.array([[1e-300]])
+    with np.errstate(over="ignore"), pytest.raises(
+            InvalidConfigurationError, match=r"weights_after\[0\].*clamp_margin"):
+        back_target(y, [w], ID, linear_output=True)
+
+
 def test_placeholders_are_uniform_and_scaled_by_c():
     x, y = _sinc_data()
     spec = build_spec("8-1", 1, SP, linear_output=False)
@@ -377,7 +386,7 @@ def _reference_data_matrix_train(spec, x, y, cfg):
     for k in range(1, n):
         wk = _pinv_array(a, opts)
         residuals[k - 1] = float(np.linalg.norm(a @ wk - np.eye(m)))
-        inter.append({"layer": k, "design": a})
+        inter.append({"layer": k, "design": a, "target": np.eye(m)})
         solved.append(wk)
         a = apply(f, a @ wk)
     t = y
@@ -471,8 +480,18 @@ def test_data_matrix_train_is_bit_identical_to_its_own_loop(
         assert got.keys() == want.keys()
         assert got["layer"] == want["layer"]
         assert np.array_equal(got["design"], want["design"])
-        if "target" in want:
-            assert np.array_equal(got["target"], want["target"])
+        assert np.array_equal(got["target"], want["target"])
+
+
+def test_data_matrix_hidden_layers_record_the_identity_target():
+    x, y = _bit_identity_data()
+    spec = build_spec("20-20-2", 3, SP, linear_output=False)
+    cfg = TrainConfig(InitScheme.data_matrix(), record_intermediates=True)
+    records = train(spec, x, y, cfg).intermediates
+    assert [r["layer"] for r in records] == [1, 2, 3]
+    for record in records[:-1]:
+        assert np.array_equal(record["target"], np.eye(20))
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_default_order_train_factorizes_2n_minus_1_times(n, monkeypatch):
