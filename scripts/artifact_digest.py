@@ -7,8 +7,9 @@ script); its `src/` is the code that runs. The runs are: `synth` spiral
 and regression, `train` with the random, banded and data_matrix inits
 with `--dump-weights`, `train` without it, a regression `train`, `train`
 with the softplus, identity (linear output) and `exp:0.5` activations and
-with a custom solve order, `train` with `--ridge` (1e-10 on
-`30-30-30-3`, 1e-3 with the data_matrix init on `60-3`), `cv` on
+with a custom solve order, `train` on `20-20-20-3`, whose square
+placeholders are pulled through by LU inverses, `train` with `--ridge`
+(1e-10 on `30-30-30-3`, 1e-3 with the data_matrix init on `60-3`), `cv` on
 `tests/data/iris_like.csv`, and `variance`. Three data_matrix runs on
 the 60-row spiral have hidden layers, whose target is I: `60-60-3`,
 `60-60-60-3 --linear-output --tolerance 0` and `60-60-3 --ridge 1e-3`,
@@ -59,6 +60,8 @@ RUNS = (
                    "--activation", "exp:0.5", "--dump-weights"]),
     ("train_order", ["train", "--data", SPIRAL, "--structure", "12-10-8-3",
                      "--solve-order", "2,1,3", "--dump-weights"]),
+    ("train_square", ["train", "--data", SPIRAL, "--structure", "20-20-20-3",
+                      "--dump-weights"]),
     ("train_ridge", ["train", "--data", SPIRAL, "--structure", "30-30-30-3",
                      "--ridge", "1e-10", "--dump-weights"]),
     ("train_ridge_data_matrix", ["train", "--data", SPIRAL, "--structure", "60-3",

@@ -570,8 +570,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an overflow fails with one JSON line below; numpy's warnings add nothing
-        with np.errstate(over="ignore"):
+        # an overflow or the nan it leads to fails with one JSON line below;
+        # numpy's warnings add nothing, here or in cv's workers
+        with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except FileNotFoundError as exc:
         _fail("file-not-found", exc)

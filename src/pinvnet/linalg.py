@@ -111,6 +111,28 @@ def _pinv_array(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
     return _truncated_pinv(*np.linalg.svd(a, full_matrices=False), opts)[0]
 
 
+def _pinv_or_inverse(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
+    """A^+ from one LU inverse X = A^-1 in place of `_pinv_array`'s SVD when
+    A is square, `opts` is the default cutoff and X is finite with
+    n * eps * sqrt(|A|_1 |A|_inf |X|_1 |X|_inf) < 1/2: the root bounds
+    cond_2(A), so the cutoff n * eps * sigma_max would keep every sigma
+    (Golub & Van Loan, Matrix Computations, 3.2 and 5.5)."""
+    n = a.shape[0]
+    if a.shape[1] == n and opts.tolerance_mode == "automatic" and opts.ridge == 0:
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # exactly singular
+            return _pinv_array(a, opts)
+        # each |A|_p |X|_p is >= 1, so the product can only overflow, to a
+        # bound that fails
+        with np.errstate(over="ignore"):
+            k1, kinf = (float(np.linalg.norm(a, p) * np.linalg.norm(x, p))
+                        for p in (1, np.inf))
+        if np.isfinite(x).all() and n * EPS * math.sqrt(k1 * kinf) < 0.5:
+            return x
+    return _pinv_array(a, opts)
+
+
 def _truncated_pinv(u, s, vt, opts: PinvOptions):
     """(V_r diag(f) U_r^T, U_r) from A = U diag(s) V^T, keeping the s whose
     |s| passes the cutoff (none when s is all zero); f = 1/(s + ridge/s),

@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import PinvnetError
 
 __all__ = ["map_jobs"]
@@ -68,15 +70,16 @@ def _spawn() -> subprocess.Popen:
 
 
 def _serve(stdin=None, stdout=None) -> None:
-    """Worker loop: read (fn, [(index, args), ...]), run the jobs in order
-    up to and including the first that raises, write
-    [(index, ok, result or exception), ...]. While jobs run, sys.stdout
-    points at stderr so nothing printed corrupts the result stream."""
+    """Worker loop: read (fn, [(index, args), ...], numpy error state),
+    run the jobs under that state in order up to and including the first
+    that raises, write [(index, ok, result or exception), ...]. While
+    jobs run, sys.stdout points at stderr so nothing printed corrupts the
+    result stream."""
     stdin = stdin or sys.stdin.buffer
     stdout = stdout or sys.stdout.buffer
-    fn, jobs = pickle.load(stdin)
+    fn, jobs, errstate = pickle.load(stdin)
     done = []
-    with contextlib.redirect_stdout(sys.stderr):
+    with np.errstate(**errstate), contextlib.redirect_stdout(sys.stderr):
         for index, args in jobs:
             try:
                 done.append((index, True, fn(*args)))
@@ -102,18 +105,21 @@ def map_jobs(fn, jobs) -> list:
     """[fn(*job) for job in jobs], in job order.
 
     The jobs are dealt round-robin to one worker process per usable core,
-    never more than there are jobs, each with one BLAS thread; with one
-    usable core or one job they run in this process. The speed-up has
-    been measured on 2 cores only. fn, the jobs and the results must
-    pickle, and fn is sent by import path. If jobs raise, the exception
-    of the lowest-index failing job is re-raised: the one the in-process
-    loop raises. Every worker is reaped before this returns or raises.
+    never more than there are jobs, each with one BLAS thread and the
+    caller's numpy error state (`np.geterr`), so a warning the caller
+    silences stays silent; with one usable core or one job they run in
+    this process. The speed-up has been measured on 2 cores only. fn,
+    the jobs and the results must pickle, and fn is sent by import path.
+    If jobs raise, the exception of the lowest-index failing job is
+    re-raised: the one the in-process loop raises. Every worker is reaped
+    before this returns or raises.
     """
     jobs = list(jobs)
     n = max(1, min(_usable_cores(), len(jobs)))
     if n == 1:
         return [fn(*job) for job in jobs]
-    payloads = [pickle.dumps((fn, [(i, jobs[i]) for i in range(w, len(jobs), n)]))
+    payloads = [pickle.dumps((fn, [(i, jobs[i]) for i in range(w, len(jobs), n)],
+                              np.geterr()))
                 for w in range(n)]
     procs = []
     try:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
 from .errors import InvalidArgumentError, InvalidConfigurationError
-from .linalg import _DEFAULT_OPTS, PinvOptions, _pinv_array, as_array, sse
+from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
+                     as_array, sse)
 from .network import NetworkSpec, WeightSet, augment, default_masks
 
 __all__ = [
@@ -100,27 +101,36 @@ class TrainReport:
     intermediates: Optional[list] = None
 
 
-def _pull_step(t, wj, f, skip_inverse, margin, opts, what):
-    """One back-chain step through layer j: the functional inverse of f
-    (skipped for a linear output layer), then a right-multiply by the
-    pseudoinverse of W_j. Returns (target, clamped entry count), or
-    raises if the target is not finite, naming `what` and clamp_margin."""
-    clamped = 0
-    if not skip_inverse:
-        t, clamped = invert_with_count(f, t, margin)
-    t = t @ _pinv_array(wj, opts)
-    if not np.isfinite(t).all():
+def _check_finite(a, f, margin, what):
+    """a, or InvalidConfigurationError naming `what`, the clamp floor and
+    clamp_margin, whose large values overflow targets and weights."""
+    if not np.isfinite(a).all():
         raise InvalidConfigurationError(
             f"{what} is not finite (clamp floor {f.lower_bound + (margin or 0.0)!r} "
             f"= lower bound {f.lower_bound!r} + clamp_margin {margin!r})")
-    return t, clamped
+    return a
+
+
+def _pull_step(t, wj, f, skip_inverse, margin, opts, what):
+    """One back-chain step through layer j: the functional inverse of f
+    (skipped for a linear output layer), then a right-multiply by the
+    pseudoinverse of W_j, an LU inverse when W_j is square and certified
+    well-conditioned (`linalg._pinv_or_inverse`). Returns (target,
+    clamped entry count), or raises if the target is not finite, naming
+    `what` and clamp_margin."""
+    clamped = 0
+    if not skip_inverse:
+        t, clamped = invert_with_count(f, t, margin)
+    return _check_finite(t @ _pinv_or_inverse(wj, opts), f, margin, what), clamped
 
 
 def back_target(y, weights_after, activation, linear_output,
                 clamp_margin=_DEFAULT_MARGIN, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
     """Back-propagated target for a layer, given the downstream weights in
     output-to-inner order and the network's activation, through `train`'s
-    pull step. The layer's own inverse is not applied here."""
+    pull step, so a square, certified well-conditioned weight is pulled
+    through by its LU inverse. The layer's own inverse is not applied
+    here."""
     t = as_array(y, "y")
     for idx, wj in enumerate(weights_after):
         t, _ = _pull_step(t, as_array(wj, "weights_after"), activation,
@@ -178,8 +188,9 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     solves in order; each hidden layer k < n targets I, so W_k = A^+ I
     (hidden widths must equal the sample count; the residual reported is
     ||A W_k - I||), and the output layer targets the data. A pull-back
-    step, here as in `back_target`, raises InvalidConfigurationError
-    naming the layer and clamp_margin when its target is not finite.
+    step, here as in `back_target`, and a layer's solve raise
+    InvalidConfigurationError naming the layer and clamp_margin when the
+    target or the weight they produce is not finite.
 
     Two prefix caches keep each factorization to one: the design of
     every layer up to the next one solved, carried forward from aug(x),
@@ -191,7 +202,10 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     bit those of rebuilding everything per layer. The default order
     makes 2n - 1 pseudoinverse factorizations (n - 1 placeholders, n
     solves) instead of n(n + 1) / 2, data_matrix init makes n; masked
-    layers factorize per column.
+    layers factorize per column. Each is an SVD, except that a square
+    placeholder certified well-conditioned under the default cutoff is
+    pulled through by an LU inverse (`linalg._pinv_or_inverse`); designs
+    always take the SVD, whose cutoff must see their singular values.
 
     The output layer is solved last, against the design built from the
     final weights, so A W_n on that design is the forward pass's output
@@ -284,7 +298,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             wk = solve_masked_layer(a, t, masks[k - 1], opts)
         else:
             wk = _pinv_array(a, opts) @ t
-        w[k] = wk
+        w[k] = _check_finite(wk, f, margin, f"solved weight of layer {k}")
         # layer k now differs from its placeholder: drop every cached
         # design computed through it and every pull-back through it
         del designs[k:]

@@ -494,6 +494,14 @@ def _error_type(stderr):
         return None
 
 
+def _tiny_csv(folder):
+    """12 rows, 2 features, 3 classes."""
+    data = folder / "tiny.csv"
+    data.write_text("".join(f"{i / 9},{(i * 7 % 9) / 9},{'abc'[i % 3]}\n"
+                            for i in range(12)))
+    return data
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON number {token}")
 
@@ -508,9 +516,7 @@ def test_hostile_config_values_end_cleanly(tmp_path, capsys, monkeypatch,
     from pinvnet import cli, parallel
 
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
-    data = tmp_path / "tiny.csv"
-    data.write_text("".join(f"{i / 9},{(i * 7 % 9) / 9},{'abc'[i % 3]}\n"
-                            for i in range(12)))
+    data = _tiny_csv(tmp_path)
     base = dict(SWEEP_BASE[command])
     if command[0] in ("train", "cv"):
         base["data"] = str(data)
@@ -540,3 +546,34 @@ def test_hostile_config_values_end_cleanly(tmp_path, capsys, monkeypatch,
                     if NON_FINITE.search(text):
                         problems.append(f"{case} wrote a non-finite {path.name}")
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # the floor overflows a solved weight, not a pulled-back target
+        (["cv", "--config", "cfg.json"], 2, "clamp_margin"),
+        (["variance", "--trials", "5", "--max-depth", "3",
+          "--noise-scale", "1e300"], 1, "variance.csv"),
+    ],
+    ids=["cv-weight-overflow", "variance-noise-overflow"],
+)
+# pytest records in-process warnings instead of printing them; as errors
+# they fail the run
+@pytest.mark.filterwarnings("error")
+def test_overflow_leaves_one_stderr_line_in_process_and_in_workers(
+        tmp_path, capfd, monkeypatch, argv, code, message):
+    # two usable cores send cv's outer folds to worker processes, whose
+    # stderr only the file-descriptor capture sees
+    from pinvnet import parallel
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"grid": [1, 2], "folds": 2, "trials": 1, "clamp_margin": 1e308,
+         "data": _tiny_csv(tmp_path).name}))
+    assert main(argv + ["--out", "run"]) == code
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert message in json.loads(err)["error"]["message"]
+    assert not (tmp_path / "run").exists()

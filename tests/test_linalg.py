@@ -8,6 +8,8 @@ from pinvnet.linalg import (
     EPS,
     Matrix,
     PinvOptions,
+    _pinv_array,
+    _pinv_or_inverse,
     penrose_residual,
     pinv,
     sse,
@@ -122,6 +124,70 @@ def test_ridge_damps_only_the_singular_values_the_cutoff_keeps():
     got = pinv((u * [1.0, 1e-3]) @ v.T, PinvOptions.explicit(1e-2, lam))
     want = np.outer(v[:, 0], u[:, 0]) / (1.0 + lam)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+def _cond_bound(a, x):
+    """sqrt(|A|_1 |A|_inf |X|_1 |X|_inf), a bound on cond_2(A) for X = A^-1."""
+    return np.sqrt(np.prod([np.linalg.norm(b, p) for b in (a, x)
+                            for p in (1, np.inf)]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 200])
+def test_certified_square_inverse_agrees_with_pinv(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-1, 1, (n, n))
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    got = _pinv_or_inverse(a, PinvOptions())
+    assert calls == []  # the LU inverse, not the SVD
+    want = pinv(a)
+    err = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert err <= n * EPS * _cond_bound(a, got)
+
+
+def test_one_by_one_inverse_equals_the_svd_path_bit_for_bit():
+    # beyond about 1e+-138 the SVD rescales its input and may round sigma
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-1, 1, 2000) * 10.0 ** rng.uniform(-100, 100, 2000)
+    for v in values:
+        a = np.array([[v]])
+        assert np.array_equal(_pinv_or_inverse(a, PinvOptions()),
+                              _pinv_array(a, PinvOptions()))
+
+
+def _ill_conditioned(n, cond):
+    rng = np.random.default_rng(6)
+    u = _orthonormal(rng, n, n)
+    v = _orthonormal(rng, n, n)
+    return (u * np.logspace(0, -np.log10(cond), n)) @ v.T
+
+
+_WELL = np.random.default_rng(7).uniform(-1, 1, (8, 8))
+
+
+@pytest.mark.parametrize(
+    "a, opts",
+    [
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), PinvOptions()),  # LU finds it singular
+        (np.outer(np.arange(1.0, 7.0), np.linspace(-1, 1, 6))
+         + np.outer(np.ones(6), np.arange(6.0)), PinvOptions()),  # rank 2
+        (_ill_conditioned(8, 1e15), PinvOptions()),  # invertible, bound fails
+        (_ill_conditioned(8, 1e15) * 1e-200, PinvOptions()),  # |A|_1 |A|_inf underflows
+        (_WELL, PinvOptions.explicit(0.0)),
+        (_WELL, PinvOptions.automatic(1e-2)),
+        (_WELL[:, :5], PinvOptions()),
+    ],
+    ids=["singular", "rank-deficient", "bound-fails", "bound-fails-tiny",
+         "explicit", "ridge", "non-square"],
+)
+def test_square_inverse_falls_back_to_the_svd_bit_for_bit(a, opts):
+    assert np.array_equal(_pinv_or_inverse(a, opts), _pinv_array(a, opts))
 
 
 def test_sse_worked_example():

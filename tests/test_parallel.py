@@ -101,6 +101,13 @@ def test_printing_in_a_worker_does_not_corrupt_results(spawned):
     assert len(spawned) == 2
 
 
+def test_workers_run_under_the_callers_numpy_error_state(spawned):
+    with np.errstate(over="ignore", invalid="raise", divide="warn"):
+        caller = np.geterr()
+        assert parallel.map_jobs(np.geterr, [(), ()]) == [caller, caller]
+    assert len(spawned) == 2
+
+
 def test_worker_error_is_the_lowest_failing_job_of_the_serial_path(spawned):
     ok = np.full((2, 2), 0.5)
     # jobs 1 and 2 fail and land in different workers (round-robin)

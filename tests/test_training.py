@@ -3,7 +3,7 @@ import pytest
 
 from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
 from pinvnet.errors import DomainViolationError, InvalidConfigurationError
-from pinvnet.linalg import PinvOptions, _pinv_array, pinv, sse
+from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
 from pinvnet.network import WeightSet, augment, build_spec, default_masks, forward
 from pinvnet.training import (
     InitScheme,
@@ -325,8 +325,9 @@ def test_train_sse_is_the_forward_pass_bit_for_bit(
 def _reference_train(spec, x, y, cfg):
     """The direct random-init algorithm: every layer rebuilds its design
     from aug(x) and re-pseudoinverts every downstream weight, n(n+1)/2
-    factorizations in the default order. Returns (weights, residuals,
-    clamp counts, intermediates) as plain arrays."""
+    factorizations in the default order, pulling through the same
+    square-inverse path as `train`. Returns (weights, residuals, clamp
+    counts, intermediates) as plain arrays."""
     n = spec.n_layers
     f = spec.activation
     masks = default_masks(spec)
@@ -358,7 +359,7 @@ def _reference_train(spec, x, y, cfg):
             if not (j == n and spec.linear_output):
                 t, cj = invert_with_count(f, t, margin)
                 clamped += cj
-            t = t @ _pinv_array(eff(j), opts)
+            t = t @ _pinv_or_inverse(eff(j), opts)
         if not (k == n and spec.linear_output):
             t, cj = invert_with_count(f, t, margin)
             clamped += cj
@@ -416,6 +417,9 @@ def _bit_identity_data():
         ("9-7-5-2", True, (3, 1, 2), PinvOptions()),
         ("9-7-5-2", False, None, PinvOptions.explicit(0.0)),
         ("9-7-5-2", False, (2, 1, 3), PinvOptions.automatic(1e-2)),
+        # square placeholders and weights: pulled through by LU inverses
+        ("8-8-8-2", False, None, PinvOptions()),
+        ("8-8-8-2", False, (2, 1, 3), PinvOptions()),
     ],
 )
 def test_cached_train_is_bit_identical_to_the_direct_algorithm(
@@ -508,6 +512,24 @@ def test_default_order_train_factorizes_2n_minus_1_times(n, monkeypatch):
     spec = build_spec(structure, 3, SP, linear_output=False)
     train(spec, x, y, TrainConfig(InitScheme.random(4, 0.7)))
     assert len(calls) == 2 * n - 1
+
+
+def test_square_placeholders_are_pulled_through_by_lu_inverses(monkeypatch):
+    # 8-8-8-2 has square 8x8 placeholders at layers 2 and 3: of its 2n - 1
+    # = 7 factorizations, 4 design solves and the 8x2 pull take the SVD
+    calls = {"svd": 0, "inv": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    x, y = _bit_identity_data()
+    spec = build_spec("8-8-8-2", 3, SP, linear_output=False)
+    train(spec, x, y, TrainConfig(InitScheme.random(4, 0.7)))
+    assert calls == {"svd": 5, "inv": 2}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
