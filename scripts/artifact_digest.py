@@ -5,7 +5,9 @@ Usage: python scripts/artifact_digest.py [src_root]
 src_root is a checkout of this repository (default: the one holding this
 script); its `src/` is the code that runs. The runs are: `synth` spiral
 and regression, `train` with the random, banded and data_matrix inits
-with `--dump-weights`, `train` without it, a regression `train`, `train`
+with `--dump-weights`, `train` without it, `train` on `12-20-3` with the
+explicit cutoff `--tolerance 1e-4`, which drops singular values the
+automatic cutoff keeps, a regression `train`, `train`
 with the softplus, identity (linear output) and `exp:0.5` activations and
 with a custom solve order, `train` on `20-20-20-3`, whose square
 placeholders are pulled through by LU inverses, `train` with `--ridge`
@@ -48,6 +50,8 @@ RUNS = (
                                   "--linear-output", "--tolerance", "0",
                                   "--dump-weights"]),
     ("train_plain", ["train", "--data", SPIRAL, "--structure", "10-3"]),
+    ("train_tolerance", ["train", "--data", SPIRAL, "--structure", "12-20-3",
+                         "--tolerance", "1e-4", "--dump-weights"]),
     ("train_regression", ["train", "--data", "regression/train_01.csv",
                           "--structure", "8-1", "--linear-output",
                           "--dump-weights"]),

@@ -34,19 +34,25 @@ _LOWER_BOUNDS = {"identity": -math.inf, "softplus": 0.0, "softplus08": LN_08,
 # by default, inverse inputs below L + 1e-9 are raised to that floor
 _DEFAULT_MARGIN = 1e-9
 
+_DEFAULT_ALPHA = 1e-4
+
 
 @dataclass(frozen=True)
 class ActivationKind:
     """One of: identity, softplus log(1+e^x), softplus08 log(0.8+e^x),
-    exp_scaled e^(alpha x)."""
+    exp_scaled e^(alpha x). Only exp_scaled reads alpha; the others
+    reject any alpha but the default, so equal behaviour compares equal."""
 
     variant: str
-    alpha: float = 1e-4
+    alpha: float = _DEFAULT_ALPHA
 
     def __post_init__(self):
         if self.variant not in _LOWER_BOUNDS:
             raise InvalidArgumentError(f"unknown activation {self.variant!r}")
-        if self.variant == "exp_scaled" and not 0 < self.alpha < math.inf:
+        if self.variant != "exp_scaled" and self.alpha != _DEFAULT_ALPHA:
+            raise InvalidArgumentError(
+                f"{self.variant} takes no alpha, got {self.alpha!r}")
+        if not 0 < self.alpha < math.inf:
             raise InvalidArgumentError("exp_scaled alpha must be finite and > 0")
 
     @classmethod
@@ -62,7 +68,7 @@ class ActivationKind:
         return cls("softplus08")
 
     @classmethod
-    def exp_scaled(cls, alpha: float = 1e-4):
+    def exp_scaled(cls, alpha: float = _DEFAULT_ALPHA):
         return cls("exp_scaled", alpha)
 
     @property
@@ -72,9 +78,12 @@ class ActivationKind:
 
 
 def format_kind(kind: ActivationKind) -> str:
-    if kind.variant == "exp_scaled":
-        return f"exp:{kind.alpha:g}"
-    return kind.variant
+    """The text `parse_kind` reads back to `kind`: exp:<alpha> in the short
+    %g form when that parses back to alpha exactly, else repr(alpha)."""
+    if kind.variant != "exp_scaled":
+        return kind.variant
+    text = f"{kind.alpha:g}"
+    return "exp:" + (text if float(text) == kind.alpha else repr(float(kind.alpha)))
 
 
 def parse_kind(text: str) -> ActivationKind:

@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from .activations import ActivationKind, apply
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_seed
 from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
 __all__ = [
@@ -45,6 +45,7 @@ class VarianceConfig:
             raise InvalidArgumentError("trials must be >= 1")
         if self.max_depth < 1:
             raise InvalidArgumentError("max_depth must be >= 1")
+        _check_seed(self.seed)
         lo, hi = self.input_range
         # the draws span [lo, hi], whose width hi - lo must be finite too
         if not (lo < hi and math.isfinite(hi - lo)):

@@ -362,6 +362,7 @@ def cmd_train(args) -> int:
         scheme = InitScheme.random(opts.seed, opts.c, opts.solve_order)
     cfg = TrainConfig(scheme, _pinv_opts(opts), opts.clamp_margin)
     report = train(spec, ds.x, targets, cfg)
+    tolerance = cfg.pinv_opts.tolerance
 
     body = {
         "structure": opts.structure,
@@ -375,8 +376,8 @@ def cmd_train(args) -> int:
             "solve_order": list(scheme.solve_order) if scheme.solve_order else None,
         },
         "pinv": {
-            "tolerance_mode": cfg.pinv_opts.tolerance_mode,
-            "tolerance": cfg.pinv_opts.tolerance,
+            "tolerance_mode": "automatic" if tolerance is None else "explicit",
+            "tolerance": 0.0 if tolerance is None else tolerance,
             "ridge": cfg.pinv_opts.ridge,
         },
         "clamp_margin": cfg.clamp_margin,

@@ -10,7 +10,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import ActivationKind
-from .errors import CsvParseError, InvalidArgumentError, InvalidConfigurationError
+from .errors import (CsvParseError, InvalidArgumentError, InvalidConfigurationError,
+                     _check_seed)
 from .linalg import _write_csv, as_array, sse
 from .network import NetworkSpec, forward
 from .parallel import map_jobs
@@ -95,6 +96,7 @@ class CvPlan:
             raise InvalidArgumentError("folds must be >= 2")
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
+        _check_seed(self.seed)
 
 
 def _sinc2(x: np.ndarray) -> np.ndarray:

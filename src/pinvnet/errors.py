@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one check of a random seed."""
+
+import numbers
 
 __all__ = [
     "PinvnetError",
@@ -40,3 +42,9 @@ class CsvParseError(PinvnetError, ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def _check_seed(seed, error=InvalidArgumentError):
+    """Raise `error` naming seed unless it is an int >= 0 (a bool is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise error(f"seed must be an int >= 0, got {seed!r}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,8 +33,8 @@ class Matrix:
 
     Every other function takes and returns plain ndarrays. The class
     remains only because the benchmark reads `.array` on those two
-    results; it goes with ROADMAP item 5, which waits on the benchmark
-    change of item 2. The constructor validates through `as_array` and
+    results; it goes with ROADMAP item 6, which waits on the benchmark
+    change of item 1. The constructor validates through `as_array` and
     keeps a read-only C-ordered copy.
     """
 
@@ -73,35 +74,33 @@ class PinvOptions:
     """Pseudoinverse controls: the cutoff picks the kept singular values,
     ridge damps them.
 
-    tolerance_mode "automatic" keeps sigma > max(rows, cols) * eps *
-    sigma_max (the standard rank-revealing convention); "explicit" keeps
-    sigma > `tolerance`, so tolerance=0.0 keeps every nonzero sigma. Each
-    kept sigma inverts to sigma / (sigma^2 + ridge) (Tikhonov filter
-    factors), so `explicit(0.0, ridge)` is (A^T A + ridge I)^-1 A^T.
+    tolerance None (`automatic()`, the default) keeps sigma > max(rows,
+    cols) * eps * sigma_max; a number t (`explicit(t)`) keeps sigma > t, so
+    0.0 keeps every nonzero sigma. Each kept sigma inverts to the Tikhonov
+    filter sigma / (sigma^2 + ridge): `explicit(0.0, ridge)` is
+    (A^T A + ridge I)^-1 A^T.
     """
 
-    tolerance_mode: str = "automatic"
-    tolerance: float = 0.0
+    tolerance: Optional[float] = None
     ridge: float = 0.0
 
     def __post_init__(self):
-        if self.tolerance_mode not in ("automatic", "explicit"):
-            raise InvalidArgumentError(
-                f"unknown tolerance_mode {self.tolerance_mode!r}"
-            )
-        for name in ("tolerance", "ridge"):
-            value = getattr(self, name)
+        # None, the automatic cutoff, checks as 0.0
+        for name, value in (("tolerance", self.tolerance or 0.0),
+                            ("ridge", self.ridge)):
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidArgumentError(
                     f"{name} must be finite and >= 0, got {value!r}")
 
     @classmethod
     def automatic(cls, ridge: float = 0.0) -> "PinvOptions":
-        return cls("automatic", 0.0, ridge)
+        return cls(None, ridge)
 
     @classmethod
     def explicit(cls, tolerance: float, ridge: float = 0.0) -> "PinvOptions":
-        return cls("explicit", tolerance, ridge)
+        if tolerance is None:
+            raise InvalidArgumentError("explicit needs a numeric tolerance")
+        return cls(tolerance, ridge)
 
 
 _DEFAULT_OPTS = PinvOptions()
@@ -118,7 +117,7 @@ def _pinv_or_inverse(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
     cond_2(A), so the cutoff n * eps * sigma_max would keep every sigma
     (Golub & Van Loan, Matrix Computations, 3.2 and 5.5)."""
     n = a.shape[0]
-    if a.shape[1] == n and opts.tolerance_mode == "automatic" and opts.ridge == 0:
+    if a.shape[1] == n and opts.tolerance is None and opts.ridge == 0:
         try:
             x = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # exactly singular
@@ -140,7 +139,7 @@ def _truncated_pinv(u, s, vt, opts: PinvOptions):
     range, so A A^dagger = U_r U_r^T when ridge is 0."""
     size = np.abs(s)
     tol = (max(u.shape[0], vt.shape[1]) * EPS * size.max()
-           if opts.tolerance_mode == "automatic" else opts.tolerance)
+           if opts.tolerance is None else opts.tolerance)
     keep = size > tol
     with np.errstate(over="ignore"):  # ridge/s = inf damps that s to 0, its limit
         kept = s[keep] + opts.ridge / s[keep]

@@ -72,35 +72,14 @@ class NetworkSpec:
 
 
 class WeightSet:
-    """One weight matrix per layer plus optional boolean masks.
+    """One weight matrix per layer, each validated once and stored as a
+    read-only Matrix. A banded layer's off-band zeros are its weight's own
+    entries: `train` writes them exactly (`solve_masked_layer`)."""
 
-    Each weight is validated once and stored as a read-only Matrix.
-    Masked-out entries are forced to exactly zero at construction, so the
-    forward pass is invariant to whatever values were stored off-support.
-    """
+    __slots__ = ("weights",)
 
-    __slots__ = ("weights", "masks")
-
-    def __init__(self, weights, masks=None):
-        ws = [as_array(w, "weight") for w in weights]
-        if masks is None:
-            masks = [None] * len(ws)
-        if len(masks) != len(ws):
-            raise InvalidArgumentError("masks list must match weights list")
-        fixed_w, fixed_m = [], []
-        for w, mk in zip(ws, masks):
-            if mk is not None:
-                mk = np.array(mk, dtype=bool)  # a copy: the caller's stays writable
-                if mk.shape != w.shape:
-                    raise InvalidArgumentError(
-                        f"mask shape {mk.shape} != weight shape {w.shape}"
-                    )
-                mk.setflags(write=False)
-                w = np.where(mk, w, 0.0)
-            fixed_w.append(Matrix(w))
-            fixed_m.append(mk)
-        self.weights = tuple(fixed_w)
-        self.masks = tuple(fixed_m)
+    def __init__(self, weights):
+        self.weights = tuple(Matrix(as_array(w, "weight")) for w in weights)
 
     def __len__(self):
         return len(self.weights)

@@ -13,14 +13,13 @@ There is no iteration: every weight matrix is written once.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
-from .errors import InvalidArgumentError, InvalidConfigurationError
+from .errors import InvalidArgumentError, InvalidConfigurationError, _check_seed
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
                      as_array, sse)
 from .network import NetworkSpec, WeightSet, augment, default_masks
@@ -54,6 +53,7 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("random", "data_matrix"):
             raise InvalidConfigurationError(f"unknown init kind {self.kind!r}")
+        _check_seed(self.seed, InvalidConfigurationError)
         if self.kind == "random" and not (math.isfinite(self.scale_c)
                                           and self.scale_c > 0):
             raise InvalidConfigurationError(
@@ -79,7 +79,6 @@ class TrainConfig:
     init: InitScheme
     pinv_opts: PinvOptions = _DEFAULT_OPTS
     clamp_margin: Optional[float] = _DEFAULT_MARGIN
-    record_intermediates: bool = False
 
     def __post_init__(self):
         margin = self.clamp_margin
@@ -90,15 +89,13 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """The solved weights, the output's SSE on the training data, and per
+    layer the residual ||A W_k - T_k|| and the entries clamped into T_k."""
+
     weights: WeightSet
     train_sse: float
     per_layer_solve_residuals: List[float]
     clamped_entry_counts: List[int]
-    wall_time: float
-    # with record_intermediates, one dict per solve in solve order: the
-    # layer number, its "design" and its "target" (I for a data_matrix
-    # hidden layer), as arrays
-    intermediates: Optional[list] = None
 
 
 def _check_finite(a, f, margin, what):
@@ -212,7 +209,6 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     pre-activation: train_sse is read from it, equal bit for bit to the
     SSE of `forward` on the training inputs, without a second pass.
     """
-    t_start = time.perf_counter()
     x = as_array(x_raw, "x_raw")
     yarr = as_array(y, "y")
     if x.shape[1] != spec.input_dim:
@@ -233,7 +229,6 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     xa = augment(x)
     opts = cfg.pinv_opts
     margin = cfg.clamp_margin
-    intermediates = [] if cfg.record_intermediates else None
 
     residuals: List[float] = [0.0] * n
     counts: List[int] = [0] * n
@@ -305,18 +300,13 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         del pulled[n + 1 - k:]
         residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
         counts[k - 1] = clamped
-        if intermediates is not None:
-            intermediates.append({"layer": k, "design": a, "target": t})
-    weights = WeightSet(w[1:], masks)
 
     # layer n was solved last, so `a` is its design under the final weights
     z = a @ w[n]
     out = z if spec.linear_output else _apply(f, z)
     return TrainReport(
-        weights=weights,
+        weights=WeightSet(w[1:]),
         train_sse=sse(out, yarr),
         per_layer_solve_residuals=residuals,
         clamped_entry_counts=counts,
-        wall_time=time.perf_counter() - t_start,
-        intermediates=intermediates,
     )

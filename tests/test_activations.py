@@ -111,6 +111,33 @@ def test_parse_and_format_round_trip():
     assert parse_kind("exp:1e-4").alpha == 1e-4
 
 
+@pytest.mark.parametrize("kind", [
+    ActivationKind.identity(),
+    ActivationKind.softplus(),
+    ActivationKind.softplus08(),
+    *(ActivationKind.exp_scaled(alpha) for alpha in (
+        1e-4, 0.5, 0.123456789, 1 / 3, 2.0 ** -40, 5e-324, 1e308,
+        np.nextafter(0.5, 1.0))),
+])
+def test_every_kind_formats_to_text_that_parses_back_to_it(kind):
+    text = format_kind(kind)
+    assert parse_kind(text) == kind
+    assert format_kind(parse_kind(text)) == text
+
+
+def test_short_alpha_text_keeps_its_bytes():
+    assert format_kind(ActivationKind.exp_scaled(0.5)) == "exp:0.5"
+    assert format_kind(ActivationKind.exp_scaled(1e-4)) == "exp:0.0001"
+    assert format_kind(ActivationKind.exp_scaled(0.123456789)) == "exp:0.123456789"
+
+
+@pytest.mark.parametrize("variant", ["identity", "softplus", "softplus08"])
+def test_an_alpha_on_a_variant_that_ignores_it_is_rejected(variant):
+    with pytest.raises(InvalidArgumentError, match="alpha"):
+        ActivationKind(variant, 5.0)
+    assert ActivationKind(variant, 1e-4) == ActivationKind(variant)
+
+
 def test_parse_rejects_unknown_and_bad_alpha():
     with pytest.raises(InvalidArgumentError):
         parse_kind("relu")

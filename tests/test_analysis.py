@@ -78,6 +78,12 @@ def test_depth_one_variance_matches_direct_least_squares():
     assert report.per_depth_mean[0] == pytest.approx(val, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True, np.int64(-3)])
+def test_variance_config_rejects_a_seed_that_is_not_an_int_ge_0(bad):
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        VarianceConfig(seed=bad)
+
+
 def test_variance_config_validation():
     with pytest.raises(InvalidArgumentError):
         VarianceConfig(m=0)

@@ -35,12 +35,6 @@ def _weights():
     return WeightSet([np.ones((3, 5)), np.ones((5, 4)), np.ones((4, 2))])
 
 
-def _intermediates(tmp_path):
-    cfg = TrainConfig(InitScheme.random(0), record_intermediates=True)
-    report = train(SPEC, A[:, :2], Y, cfg)
-    return [r[key] for r in report.intermediates for key in ("design", "target")]
-
-
 def _load_csv(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2,a\n3,4,b\n5,6,a\n")
@@ -59,7 +53,6 @@ CASES = {
         back_target(Matrix(Y), [Matrix(np.eye(2))], SP, False)],
     "solve_masked_layer": lambda tmp_path: [
         solve_masked_layer(Matrix(A), Y, np.eye(3, 2, dtype=bool))],
-    "TrainReport.intermediates": _intermediates,
     "encode_targets": lambda tmp_path: [encode_targets(["x", "y", "x"])],
     "training_targets": lambda tmp_path: [
         training_targets(CLASSES, False), training_targets(CLASSES, True)],

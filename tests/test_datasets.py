@@ -237,6 +237,12 @@ def test_stratified_kfold_rejects_more_folds_than_samples():
         stratified_kfold(ds, CvPlan(folds=3, trials=1))
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True, np.int64(-3)])
+def test_cv_plan_rejects_a_seed_that_is_not_an_int_ge_0(bad):
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        CvPlan(2, 1, bad)
+
+
 def test_unstratified_fold_sizes_differ_by_at_most_one():
     x = np.arange(22.0).reshape(11, 2)
     ds = Dataset(x, np.zeros((11, 1)))

@@ -84,6 +84,27 @@ def test_options_reject_non_finite_tolerance_and_ridge(bad):
         PinvOptions.automatic(ridge=bad)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-3])
+def test_a_given_tolerance_is_the_explicit_cutoff(t):
+    # sigma 1e-4 sits between the two cutoffs and 1e-17 below both, so
+    # each t keeps a different set of sigma than the automatic cutoff
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    a = u[:, :4] @ np.diag([3.0, 1.0, 1e-4, 1e-17]) @ v.T
+    given = PinvOptions(tolerance=t)
+    assert given == PinvOptions.explicit(t)
+    assert np.array_equal(pinv(a, given), pinv(a, PinvOptions.explicit(t)))
+    assert not np.array_equal(pinv(a, given), pinv(a))
+
+
+def test_default_options_are_the_automatic_cutoff():
+    assert PinvOptions() == PinvOptions.automatic()
+    assert PinvOptions().tolerance is None
+    with pytest.raises(InvalidArgumentError):
+        PinvOptions.explicit(None)
+
+
 def test_ridge_matches_closed_forms_both_orientations():
     rng = np.random.default_rng(7)
     lam = 0.37

@@ -98,31 +98,18 @@ def test_default_masks_only_first_layer_sees_bias():
     assert masks[1].shape == (4, 4)  # hidden activations come unaugmented
 
 
-def test_weight_set_zeroes_cells_outside_the_mask():
-    mask = np.array([[True, False], [False, True]])
-    ws = WeightSet([np.ones((2, 2))], [mask])
-    assert np.array_equal(ws.weights[0].array, [[1.0, 0.0], [0.0, 1.0]])
-    assert not ws.masks[0].flags.writeable
-
-
-def test_weight_set_leaves_the_callers_mask_writable():
-    mask = np.array([[True, False], [False, True]])
-    WeightSet([np.ones((2, 2))], [mask])
-    assert mask.flags.writeable
-
-
 def test_forward_is_plain_affine_chain_for_identity_linear_net():
     spec = _spec([3, 2], input_dim=2)
     rng = np.random.default_rng(0)
     w1, w2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
     x = rng.standard_normal((5, 2))
-    out = forward(spec, WeightSet([w1, w2], [None, None]), x)
+    out = forward(spec, WeightSet([w1, w2]), x)
     assert np.allclose(out.array, augment(x) @ w1 @ w2, atol=1e-14)
 
 
 def test_forward_applies_output_activation_unless_linear():
     x = np.array([[1.0]])
-    w = WeightSet([np.array([[0.0], [0.0]])], [None])
+    w = WeightSet([np.array([[0.0], [0.0]])])
     curved = _spec([1], 1, activation=SP, linear_output=False)
     flat = _spec([1], 1, activation=SP, linear_output=True)
     assert forward(curved, w, x).array[0, 0] == pytest.approx(np.log(1.8))
@@ -132,8 +119,7 @@ def test_forward_applies_output_activation_unless_linear():
 def test_hidden_activation_stage_zero_is_the_augmented_input():
     spec = _spec([2, 1], 2, activation=SP, linear_output=False)
     rng = np.random.default_rng(1)
-    w = WeightSet([rng.standard_normal((3, 2)), rng.standard_normal((2, 1))],
-                  [None, None])
+    w = WeightSet([rng.standard_normal((3, 2)), rng.standard_normal((2, 1))])
     x = rng.standard_normal((4, 2))
     a0 = hidden_activation(spec, w, x, 0)
     assert np.array_equal(a0, augment(x))
@@ -143,7 +129,7 @@ def test_hidden_activation_stage_zero_is_the_augmented_input():
 
 def test_forward_rejects_mismatched_weight_shapes():
     spec = _spec([3, 2], 2)
-    bad = WeightSet([np.ones((4, 3)), np.ones((3, 2))], [None, None])
+    bad = WeightSet([np.ones((4, 3)), np.ones((3, 2))])
     with pytest.raises(InvalidArgumentError):
         forward(spec, bad, np.ones((5, 2)))
 

@@ -4,7 +4,8 @@ import pytest
 from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
 from pinvnet.errors import DomainViolationError, InvalidConfigurationError
 from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
-from pinvnet.network import WeightSet, augment, build_spec, default_masks, forward
+from pinvnet.network import (WeightSet, augment, build_spec, default_masks, forward,
+                             hidden_activation)
 from pinvnet.training import (
     InitScheme,
     TrainConfig,
@@ -32,7 +33,6 @@ def test_two_layer_curve_fit_reaches_float_noise_floor():
     assert report.train_sse <= 1e-8
     assert len(report.per_layer_solve_residuals) == 2
     assert len(report.clamped_entry_counts) == 2
-    assert report.wall_time >= 0.0
 
 
 def test_training_is_deterministic_for_a_fixed_seed():
@@ -147,9 +147,8 @@ def test_deep_narrow_curve_fit_mechanism(seed):
     # but is numerically singular
     x, y = _sinc_data()
     spec = build_spec("1-1-1-8-1", 1, SP, linear_output=False)
-    cfg = TrainConfig(InitScheme.random(seed, 0.1), record_intermediates=True)
-    report = train(spec, x, y, cfg)
-    design = report.intermediates[-1]["design"]
+    report = train(spec, x, y, TrainConfig(InitScheme.random(seed, 0.1)))
+    design = hidden_activation(spec, report.weights, x, spec.n_layers - 1)
     assert design.shape == (8, 8)
     if seed in (0, 3):
         assert np.all(design == design[0])
@@ -175,6 +174,13 @@ def test_non_finite_scale_and_margin_are_rejected(bad):
         InitScheme.random(0, bad)
     with pytest.raises(InvalidConfigurationError, match="clamp_margin"):
         TrainConfig(InitScheme.random(0), clamp_margin=bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, np.int64(-3)])
+def test_init_scheme_rejects_a_seed_that_is_not_an_int_ge_0(bad):
+    with pytest.raises(InvalidConfigurationError, match="seed"):
+        InitScheme.random(bad)
+    assert InitScheme.random(np.int64(3)).seed == 3
 
 
 def test_data_matrix_init_reaches_zero_error_when_rows_span():
@@ -273,19 +279,6 @@ def test_explicit_zero_tolerance_is_honoured_per_config():
     assert np.array_equal(report.weights.weights[0].array, oracle)
 
 
-def test_record_intermediates_exposes_per_stage_activations():
-    x, y = _sinc_data()
-    spec = build_spec("8-1", 1, SP, linear_output=False)
-    cfg = TrainConfig(InitScheme.random(7, 1.0), record_intermediates=True)
-    report = train(spec, x, y, cfg)
-    assert report.intermediates is not None
-    assert len(report.intermediates) == spec.n_layers
-    last = report.intermediates[-1]
-    assert last["layer"] == spec.n_layers
-    assert last["design"].shape == (8, 8)
-    assert last["target"].shape == (8, 1)
-
-
 def test_forward_after_training_matches_reported_sse():
     x, y = _sinc_data()
     spec = build_spec("8-4-1", 1, SP, linear_output=False)
@@ -327,7 +320,7 @@ def _reference_train(spec, x, y, cfg):
     from aug(x) and re-pseudoinverts every downstream weight, n(n+1)/2
     factorizations in the default order, pulling through the same
     square-inverse path as `train`. Returns (weights, residuals, clamp
-    counts, intermediates) as plain arrays."""
+    counts) as plain arrays."""
     n = spec.n_layers
     f = spec.activation
     masks = default_masks(spec)
@@ -349,7 +342,7 @@ def _reference_train(spec, x, y, cfg):
     def eff(j):
         return current.get(j, placeholders.get(j))
 
-    residuals, counts, inter = [0.0] * n, [0] * n, []
+    residuals, counts = [0.0] * n, [0] * n
     for k in order:
         a = xa
         for j in range(1, k):
@@ -370,24 +363,22 @@ def _reference_train(spec, x, y, cfg):
         current[k] = wk
         residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
         counts[k - 1] = clamped
-        inter.append((k, a, t))
-    return [current[k] for k in range(1, n + 1)], residuals, counts, inter
+    return [current[k] for k in range(1, n + 1)], residuals, counts
 
 
 def _reference_data_matrix_train(spec, x, y, cfg):
     """The data-matrix algorithm as its own loop: every hidden weight is
     the pseudoinverse of its design, the output layer solves against y.
-    Returns (weights, residuals, clamp counts, intermediates, train SSE)
-    with plain arrays in the intermediates."""
+    Returns (weights, residuals, clamp counts, train SSE); a hidden
+    layer's residual is ||A W_k - I||."""
     n, m = spec.n_layers, x.shape[0]
     f = spec.activation
     opts, margin = cfg.pinv_opts, cfg.clamp_margin
-    residuals, counts, inter, solved = [0.0] * n, [0] * n, [], []
+    residuals, counts, solved = [0.0] * n, [0] * n, []
     a = augment(x)
     for k in range(1, n):
         wk = _pinv_array(a, opts)
         residuals[k - 1] = float(np.linalg.norm(a @ wk - np.eye(m)))
-        inter.append({"layer": k, "design": a, "target": np.eye(m)})
         solved.append(wk)
         a = apply(f, a @ wk)
     t = y
@@ -395,10 +386,8 @@ def _reference_data_matrix_train(spec, x, y, cfg):
         t, counts[n - 1] = invert_with_count(f, t, margin)
     wn = _pinv_array(a, opts) @ t
     residuals[n - 1] = float(np.linalg.norm(a @ wn - t))
-    inter.append({"layer": n, "design": a, "target": t})
     solved.append(wn)
-    weights = WeightSet(solved, default_masks(spec))
-    return solved, residuals, counts, inter, sse(forward(spec, weights, x), y)
+    return solved, residuals, counts, sse(forward(spec, WeightSet(solved), x), y)
 
 def _bit_identity_data():
     rng = np.random.default_rng(21)
@@ -427,19 +416,13 @@ def test_cached_train_is_bit_identical_to_the_direct_algorithm(
 ):
     x, y = _bit_identity_data()
     spec = build_spec(structure, 3, SP, linear_output=linear_output)
-    cfg = TrainConfig(InitScheme.random(4, 0.7, order), opts,
-                      record_intermediates=True)
+    cfg = TrainConfig(InitScheme.random(4, 0.7, order), opts)
     report = train(spec, x, y, cfg)
-    weights, residuals, counts, inter = _reference_train(spec, x, y, cfg)
+    weights, residuals, counts = _reference_train(spec, x, y, cfg)
     for got, want in zip(report.weights.weights, weights):
         assert np.array_equal(got.array, want)
     assert report.per_layer_solve_residuals == residuals
     assert report.clamped_entry_counts == counts
-    assert len(report.intermediates) == len(inter)
-    for got, (k, a, t) in zip(report.intermediates, inter):
-        assert got["layer"] == k
-        assert np.array_equal(got["design"], a)
-        assert np.array_equal(got["target"], t)
 
 
 def test_cached_train_raises_like_the_direct_algorithm_without_clamping():
@@ -470,31 +453,15 @@ def test_data_matrix_train_is_bit_identical_to_its_own_loop(
 ):
     x, y = _bit_identity_data()
     spec = build_spec(structure, 3, SP, linear_output=linear_output)
-    cfg = TrainConfig(InitScheme.data_matrix(), opts, record_intermediates=True)
+    cfg = TrainConfig(InitScheme.data_matrix(), opts)
     report = train(spec, x, y, cfg)
-    weights, residuals, counts, inter, train_sse = _reference_data_matrix_train(
+    weights, residuals, counts, train_sse = _reference_data_matrix_train(
         spec, x, y, cfg)
     for got, want in zip(report.weights.weights, weights, strict=True):
         assert np.array_equal(got.array, want)
     assert report.per_layer_solve_residuals == residuals
     assert report.clamped_entry_counts == counts
     assert report.train_sse == train_sse
-    assert len(report.intermediates) == len(inter)
-    for got, want in zip(report.intermediates, inter):
-        assert got.keys() == want.keys()
-        assert got["layer"] == want["layer"]
-        assert np.array_equal(got["design"], want["design"])
-        assert np.array_equal(got["target"], want["target"])
-
-
-def test_data_matrix_hidden_layers_record_the_identity_target():
-    x, y = _bit_identity_data()
-    spec = build_spec("20-20-2", 3, SP, linear_output=False)
-    cfg = TrainConfig(InitScheme.data_matrix(), record_intermediates=True)
-    records = train(spec, x, y, cfg).intermediates
-    assert [r["layer"] for r in records] == [1, 2, 3]
-    for record in records[:-1]:
-        assert np.array_equal(record["target"], np.eye(20))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
