@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from .activations import ActivationKind, apply
-from .errors import InvalidArgumentError, _check_seed
+from .errors import InvalidArgumentError, _check_int
 from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
 __all__ = [
@@ -39,13 +39,9 @@ class VarianceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise InvalidArgumentError("m and d must be >= 1")
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
-        if self.max_depth < 1:
-            raise InvalidArgumentError("max_depth must be >= 1")
-        _check_seed(self.seed)
+        for name in ("m", "d", "trials", "max_depth"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
         lo, hi = self.input_range
         # the draws span [lo, hi], whose width hi - lo must be finite too
         if not (lo < hi and math.isfinite(hi - lo)):
@@ -135,11 +131,7 @@ def solution_count(n: int) -> Tuple[int, int]:
     n = 2 this formula gives 2N, double the commonly quoted plain N; the
     factor counts the two orderings separately.
     """
-    if n < 2:
-        raise InvalidArgumentError(
-            "solution families are counted for n >= 2; a single layer has a "
-            "unique least-squares solution"
-        )
+    _check_int("n", n, 2)  # a single layer has a unique least-squares solution
     return (n - 1, n)
 
 

@@ -41,8 +41,8 @@ from .errors import (
     CsvParseError,
     DomainViolationError,
     InvalidArgumentError,
-    InvalidConfigurationError,
     PinvnetError,
+    _check_int,
 )
 from .linalg import PinvOptions, penrose_residual, pinv, write_matrix_csv
 from .network import build_spec, forward, parse_structure
@@ -54,7 +54,7 @@ DEFAULT_GRID = (1, 2, 3, 5, 10, 20, 30, 50, 80, 100, 200, 500)
 class Option(NamedTuple):
     """One option of a subcommand. Its flag is --name with dashes; the
     config file gives it as name. convert(value, flag) checks and types
-    a flag's text or a config value, raising InvalidConfigurationError."""
+    a flag's text or a config value, raising InvalidArgumentError."""
 
     name: str
     default: object
@@ -67,7 +67,7 @@ def _flag(name: str) -> str:
 
 
 def _bad(flag, what, value):
-    return InvalidConfigurationError(f"{flag} must be {what}, got {value!r}")
+    return InvalidArgumentError(f"{flag} must be {what}, got {value!r}")
 
 
 def _number(kind):
@@ -104,7 +104,7 @@ def _parsed(parse):
         try:
             parse(_text(value, flag))
         except InvalidArgumentError as exc:
-            raise InvalidConfigurationError(f"{flag}: {exc}") from None
+            raise InvalidArgumentError(f"{flag}: {exc}") from None
         return value
     return convert
 
@@ -161,8 +161,7 @@ def _range(value, flag):
 
 def _seed(value, flag):
     seed = _int(value, flag)
-    if seed < 0:
-        raise _bad(flag, "a non-negative int", value)
+    _check_int(flag, seed, 0)
     return seed
 
 
@@ -246,17 +245,17 @@ def _resolve(args):
             try:
                 from_file = json.load(fh)
             except ValueError as exc:
-                raise InvalidConfigurationError(
+                raise InvalidArgumentError(
                     f"config file {args.config} is not valid JSON: {exc}"
                 ) from None
         if not isinstance(from_file, dict):
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"config file {args.config} must hold a JSON object"
             )
         names = {opt.name for opt in args.options}
         unknown = set(from_file) - names
         if unknown:
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"unknown config keys {sorted(unknown)}; valid: {sorted(names)}"
             )
     values, echo = {}, {}
@@ -280,7 +279,7 @@ def _resolve(args):
 def _require(opts, *names):
     for name in names:
         if getattr(opts, name) is None:
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"{_flag(name)} is required (flag or config file)"
             )
 
@@ -482,11 +481,10 @@ def cmd_selfcheck(args) -> int:
     except ValueError:
         max_m = max_n = 0
     if max_m < 1 or max_n < 1:
-        raise InvalidConfigurationError(
+        raise InvalidArgumentError(
             f"--shapes must look like 200x100, got {opts.shapes!r}"
         )
-    if opts.count < 1:
-        raise InvalidConfigurationError(f"--count must be >= 1, got {opts.count}")
+    _check_int("--count", opts.count, 1)
     rng = np.random.default_rng(opts.seed)
     worst_penrose = 0.0
     worst_oracle = 0.0
@@ -578,7 +576,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _fail("file-not-found", exc)
         return 2
-    except (InvalidArgumentError, InvalidConfigurationError, CsvParseError) as exc:
+    except (InvalidArgumentError, CsvParseError) as exc:
         _fail("invalid-input", exc)
         return 2
     except DomainViolationError as exc:

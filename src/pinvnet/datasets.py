@@ -10,8 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import ActivationKind
-from .errors import (CsvParseError, InvalidArgumentError, InvalidConfigurationError,
-                     _check_seed)
+from .errors import CsvParseError, InvalidArgumentError, _check_int
 from .linalg import _write_csv, as_array, sse
 from .network import NetworkSpec, forward
 from .parallel import map_jobs
@@ -92,11 +91,9 @@ class CvPlan:
     stratified: bool = True
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidArgumentError("folds must be >= 2")
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
-        _check_seed(self.seed)
+        _check_int("folds", self.folds, 2)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
 
 
 def _sinc2(x: np.ndarray) -> np.ndarray:
@@ -111,8 +108,8 @@ def gen_regression(noisy_sets: int = 0, noise_frac: float = 0.0, seed: int = 0):
     range. Test set: the 721-point grid x = 0.90, 0.91, ..., 8.10 with
     clean targets. Returns (list of train Datasets, test Dataset).
     """
-    if noisy_sets < 0:
-        raise InvalidArgumentError("noisy_sets must be >= 0")
+    _check_int("noisy_sets", noisy_sets, 0)
+    _check_int("seed", seed, 0)
     x = np.arange(1.0, 9.0).reshape(-1, 1)
     y = _sinc2(x)
     amp = noise_frac * float(y.max() - y.min())
@@ -141,10 +138,11 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
     contradictory coincident points all land in the test split.
     Targets are 0/1 one-hot. Returns (train, test).
     """
-    if arms < 1:
-        raise InvalidArgumentError("arms must be >= 1")
-    if per_arm < 2 or per_arm % 2:
-        raise InvalidArgumentError("per_arm must be even and >= 2")
+    _check_int("arms", arms, 1)
+    _check_int("per_arm", per_arm, 2)
+    if per_arm % 2:
+        raise InvalidArgumentError(f"per_arm must be even, got {per_arm}")
+    _check_int("seed", seed, 0)
     if not math.isfinite(noise):
         raise InvalidArgumentError(f"noise must be finite, got {noise!r}")
     rng = np.random.default_rng(seed)
@@ -197,9 +195,9 @@ def load_csv(path, label_column=-1, header: bool = False,
     otherwise.
     """
     if missing_policy not in ("drop", "mean-impute"):
-        raise InvalidConfigurationError(f"unknown missing_policy {missing_policy!r}")
+        raise InvalidArgumentError(f"unknown missing_policy {missing_policy!r}")
     if kind not in ("classification", "regression", "auto"):
-        raise InvalidConfigurationError(f"unknown dataset kind {kind!r}")
+        raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
     rows: List[List[str]] = []
     line_nos: List[int] = []  # the 1-based file line of each data row
     names: Optional[List[str]] = None
@@ -228,18 +226,18 @@ def load_csv(path, label_column=-1, header: bool = False,
 
     if isinstance(label_column, str):
         if names is None:
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 "label_column by name requires header=True"
             )
         if label_column not in names:
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"unknown label column {label_column!r}; have {names}"
             )
         label_idx = names.index(label_column)
     else:
         label_idx = int(label_column)
         if not -ncols <= label_idx < ncols:
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"label column {label_column} out of range for {ncols} columns"
             )
         label_idx %= ncols
@@ -399,7 +397,7 @@ def _spec_for(ds: Dataset, template: str, h: int,
     q = ds.y.shape[1]
     widths = expand_template(template, h, q)
     if widths[-1] != q:
-        raise InvalidConfigurationError(
+        raise InvalidArgumentError(
             f"template {template!r} must end at the target width {q}"
         )
     return NetworkSpec(ds.x.shape[1], widths, activation, linear_output)
@@ -500,6 +498,8 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     if not templates:
         raise InvalidArgumentError("no templates")
     templates = list(dict.fromkeys(templates))
+    for h in h_grid:
+        _check_int("h", h, 1)
     # candidate order doubles as the tie-break: smaller h, earlier template
     candidates = [
         (tmpl, h, _spec_for(ds, tmpl, h, activation, linear_output))

@@ -1,11 +1,14 @@
-"""Shared exception types, and the one check of a random seed."""
+"""Shared exception types, and the one check of an integer count or seed.
+
+Every bad input value raises InvalidArgumentError, a ValueError; the CLI
+maps it and CsvParseError to exit 2, DomainViolationError and the other
+PinvnetErrors to exit 1."""
 
 import numbers
 
 __all__ = [
     "PinvnetError",
     "InvalidArgumentError",
-    "InvalidConfigurationError",
     "DomainViolationError",
     "CsvParseError",
 ]
@@ -16,11 +19,8 @@ class PinvnetError(Exception):
 
 
 class InvalidArgumentError(PinvnetError, ValueError):
-    """A value passed to an operation violates its precondition."""
-
-
-class InvalidConfigurationError(PinvnetError, ValueError):
-    """A configuration object is internally inconsistent or unusable."""
+    """A value passed to an operation or a configuration violates its
+    precondition."""
 
 
 class DomainViolationError(PinvnetError, ValueError):
@@ -44,7 +44,8 @@ class CsvParseError(PinvnetError, ValueError):
         self.line = line
 
 
-def _check_seed(seed, error=InvalidArgumentError):
-    """Raise `error` naming seed unless it is an int >= 0 (a bool is not)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise error(f"seed must be an int >= 0, got {seed!r}")
+def _check_int(name, value, low):
+    """Raise InvalidArgumentError naming `name` unless value is an int >= low
+    (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidArgumentError(f"{name} must be an int >= {low}, got {value!r}")

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .activations import ActivationKind, apply
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_int
 from .linalg import Matrix, as_array
 
 __all__ = [
@@ -46,18 +46,16 @@ class NetworkSpec:
         widths = tuple(self.widths)
         bands = (tuple(self.receptive_fields) if self.receptive_fields is not None
                  else (None,) * len(widths))
-        if self.input_dim < 1:
-            raise InvalidArgumentError("input_dim must be >= 1")
+        _check_int("input_dim", self.input_dim, 1)
         if not widths:
             raise InvalidArgumentError("need at least one layer")
         if len(bands) != len(widths):
             raise InvalidArgumentError(
                 f"{len(bands)} receptive fields for {len(widths)} layers")
-        if min(widths) < 1:
-            raise InvalidArgumentError("layer width must be >= 1")
-        for r in bands:
-            if r is not None and (r < 1 or r % 2 == 0):
-                raise InvalidArgumentError(f"receptive field must be odd >= 1, got {r}")
+        for k, (width, r) in enumerate(zip(widths, bands), start=1):
+            _check_int(f"layer {k} width", width, 1)
+            if r is not None:
+                _check_band(r)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "receptive_fields", bands)
 
@@ -91,6 +89,13 @@ def augment(x):
     return np.hstack([np.ones((arr.shape[0], 1)), arr])
 
 
+def _check_band(r):
+    """Raise InvalidArgumentError unless r is an odd int >= 1."""
+    _check_int("receptive field", r, 1)
+    if r % 2 == 0:
+        raise InvalidArgumentError(f"receptive field must be odd, got {r}")
+
+
 def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.ndarray:
     """Boolean in_dim x width band mask.
 
@@ -100,10 +105,9 @@ def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.nd
     covered only by windows that reach the top. r larger than the unbiased
     input count degenerates to a full (all-true) mask.
     """
-    if r < 1 or r % 2 == 0:
-        raise InvalidArgumentError(f"receptive field must be odd >= 1, got {r}")
-    if in_dim < 1 or width < 1:
-        raise InvalidArgumentError("in_dim and width must be >= 1")
+    _check_band(r)
+    _check_int("in_dim", in_dim, 1)
+    _check_int("width", width, 1)
     data_count = in_dim - 1 if biased_input else in_dim
     if data_count < 1:
         raise InvalidArgumentError("no unbiased inputs under the band")

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
-from .errors import InvalidArgumentError, InvalidConfigurationError, _check_seed
+from .errors import InvalidArgumentError, _check_int
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
                      as_array, sse)
 from .network import NetworkSpec, WeightSet, augment, default_masks
@@ -52,16 +52,16 @@ class InitScheme:
 
     def __post_init__(self):
         if self.kind not in ("random", "data_matrix"):
-            raise InvalidConfigurationError(f"unknown init kind {self.kind!r}")
-        _check_seed(self.seed, InvalidConfigurationError)
+            raise InvalidArgumentError(f"unknown init kind {self.kind!r}")
+        _check_int("seed", self.seed, 0)
         if self.kind == "random" and not (math.isfinite(self.scale_c)
                                           and self.scale_c > 0):
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"scale_c must be finite and > 0, got {self.scale_c!r}")
         if self.solve_order is not None:
             object.__setattr__(self, "solve_order", tuple(self.solve_order))
             if self.kind == "data_matrix":
-                raise InvalidConfigurationError(
+                raise InvalidArgumentError(
                     "data_matrix init is inherently sequential; no custom order"
                 )
 
@@ -83,7 +83,7 @@ class TrainConfig:
     def __post_init__(self):
         margin = self.clamp_margin
         if margin is not None and not (math.isfinite(margin) and margin >= 0):
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 f"clamp_margin must be finite and >= 0, or None, got {margin!r}")
 
 
@@ -99,10 +99,10 @@ class TrainReport:
 
 
 def _check_finite(a, f, margin, what):
-    """a, or InvalidConfigurationError naming `what`, the clamp floor and
+    """a, or InvalidArgumentError naming `what`, the clamp floor and
     clamp_margin, whose large values overflow targets and weights."""
     if not np.isfinite(a).all():
-        raise InvalidConfigurationError(
+        raise InvalidArgumentError(
             f"{what} is not finite (clamp floor {f.lower_bound + (margin or 0.0)!r} "
             f"= lower bound {f.lower_bound!r} + clamp_margin {margin!r})")
     return a
@@ -167,7 +167,7 @@ def _solve_order(spec: NetworkSpec, init: InitScheme):
         return list(range(1, n + 1))
     inner = list(init.solve_order)
     if sorted(inner) != list(range(1, n)):
-        raise InvalidConfigurationError(
+        raise InvalidArgumentError(
             f"solve_order must be a permutation of 1..{n - 1}, got {inner}"
         )
     return inner + [n]
@@ -186,7 +186,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     (hidden widths must equal the sample count; the residual reported is
     ||A W_k - I||), and the output layer targets the data. A pull-back
     step, here as in `back_target`, and a layer's solve raise
-    InvalidConfigurationError naming the layer and clamp_margin when the
+    InvalidArgumentError naming the layer and clamp_margin when the
     target or the weight they produce is not finite.
 
     Two prefix caches keep each factorization to one: the design of
@@ -237,12 +237,12 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     if data_matrix:
         for h in spec.widths[:-1]:
             if h != m:
-                raise InvalidConfigurationError(
+                raise InvalidArgumentError(
                     f"data_matrix init needs every hidden width equal to the "
                     f"sample count {m}, got {h}"
                 )
         if any(mk is not None for mk in masks):
-            raise InvalidConfigurationError(
+            raise InvalidArgumentError(
                 "banded layers cannot hold pseudoinverse-valued weights"
             )
 

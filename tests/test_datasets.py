@@ -23,11 +23,7 @@ from pinvnet.datasets import (
     training_targets,
     write_dataset_csv,
 )
-from pinvnet.errors import (
-    CsvParseError,
-    InvalidArgumentError,
-    InvalidConfigurationError,
-)
+from pinvnet.errors import CsvParseError, InvalidArgumentError
 from pinvnet.linalg import sse
 from pinvnet.network import build_spec, forward
 from pinvnet.training import InitScheme, TrainConfig, train
@@ -105,7 +101,7 @@ def test_load_csv_header_and_named_label_column(tmp_path):
     ds = load_csv(p, label_column="species", header=True, kind="classification")
     assert ds.x.shape == (2, 2)
     assert ds.class_labels == ("x", "y")
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         load_csv(p, label_column="missing", header=True, kind="classification")
 
 
@@ -121,7 +117,7 @@ def test_load_csv_negative_label_index_counts_from_the_end(tmp_path):
 def test_load_csv_out_of_range_label_index_is_rejected(tmp_path, label_column):
     p = tmp_path / "d.csv"
     p.write_text("x,1.0,2.0\ny,3.0,4.0\n")
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         load_csv(p, label_column=label_column, kind="classification")
 
 

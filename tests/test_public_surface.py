@@ -19,7 +19,7 @@ def test_deleted_and_internal_names_are_not_exported():
     for name in ("representation_check", "RepresentationReport",
                  "squared_bias", "variance_chain", "solve_least_squares",
                  "read_matrix_csv", "map_jobs", "as_array", "format_structure",
-                 "LayerSpec"):
+                 "LayerSpec", "InvalidConfigurationError"):
         assert not hasattr(pinvnet, name), name
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
-from pinvnet.errors import DomainViolationError, InvalidConfigurationError
+from pinvnet.errors import DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
 from pinvnet.network import (WeightSet, augment, build_spec, default_masks, forward,
                              hidden_activation)
@@ -103,7 +103,7 @@ def test_back_target_raises_when_its_target_overflows():
     # train shares raises instead of returning inf
     y, w = np.array([[1e300]]), np.array([[1e-300]])
     with np.errstate(over="ignore"), pytest.raises(
-            InvalidConfigurationError, match=r"weights_after\[0\].*clamp_margin"):
+            InvalidArgumentError, match=r"weights_after\[0\].*clamp_margin"):
         back_target(y, [w], ID, linear_output=True)
 
 
@@ -164,21 +164,21 @@ def test_deep_narrow_curve_fit_mechanism(seed):
 def test_invalid_solve_orders_are_rejected(order):
     spec = build_spec("4-4-1", 1, SP, linear_output=False)
     x, y = _sinc_data()
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         train(spec, x, y, TrainConfig(InitScheme.random(0, 1.0, order)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_scale_and_margin_are_rejected(bad):
-    with pytest.raises(InvalidConfigurationError, match="scale_c"):
+    with pytest.raises(InvalidArgumentError, match="scale_c"):
         InitScheme.random(0, bad)
-    with pytest.raises(InvalidConfigurationError, match="clamp_margin"):
+    with pytest.raises(InvalidArgumentError, match="clamp_margin"):
         TrainConfig(InitScheme.random(0), clamp_margin=bad)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, np.int64(-3)])
 def test_init_scheme_rejects_a_seed_that_is_not_an_int_ge_0(bad):
-    with pytest.raises(InvalidConfigurationError, match="seed"):
+    with pytest.raises(InvalidArgumentError, match="seed"):
         InitScheme.random(bad)
     assert InitScheme.random(np.int64(3)).seed == 3
 
@@ -200,7 +200,7 @@ def test_data_matrix_init_requires_hidden_widths_equal_to_samples():
     x = rng.standard_normal((6, 2))
     y = rng.standard_normal((6, 1))
     spec = build_spec("4-1", 2, SP, linear_output=True)
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         train(spec, x, y, TrainConfig(InitScheme.data_matrix()))
 
 
@@ -209,12 +209,12 @@ def test_data_matrix_init_rejects_receptive_masks():
     x = rng.standard_normal((6, 2))
     y = rng.standard_normal((6, 1))
     spec = build_spec("6^r3-1", 2, SP, linear_output=True)
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         train(spec, x, y, TrainConfig(InitScheme.data_matrix()))
 
 
 def test_data_matrix_init_rejects_custom_order_at_construction():
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         InitScheme("data_matrix", solve_order=(1,))
 
 
