@@ -12,7 +12,11 @@ with the softplus, identity (linear output) and `exp:0.5` activations and
 with a custom solve order, `train` on `20-20-20-3`, whose square
 placeholders are pulled through by LU inverses, `train` with `--ridge`
 (1e-10 on `30-30-30-3`, 1e-3 with the data_matrix init on `60-3`), `cv` on
-`tests/data/iris_like.csv`, and `variance`. Three data_matrix runs on
+`tests/data/iris_like.csv` (3 folds and 3 widths, and 10 folds over the
+default 12-value grid, the benchmark's shape, where the order in which
+inner folds are scored decides how many fits run), a linear-output
+regression `cv` on the synthesized `regression/train_01.csv`, and
+`variance`. Three data_matrix runs on
 the 60-row spiral have hidden layers, whose target is I: `60-60-3`,
 `60-60-60-3 --linear-output --tolerance 0` and `60-60-3 --ridge 1e-3`,
 all with `--dump-weights`. They run in a temporary
@@ -76,6 +80,11 @@ RUNS = (
                                       "--ridge", "1e-3", "--dump-weights"]),
     ("cv", ["cv", "--data", "iris_like.csv", "--grid", "1,2,5", "--folds", "3",
             "--trials", "2"]),
+    ("cv_default_grid", ["cv", "--data", "iris_like.csv", "--folds", "10",
+                         "--trials", "1"]),
+    ("cv_regression", ["cv", "--data", "regression/train_01.csv", "--task",
+                       "regression", "--linear-output", "--grid", "1,2,3,5,8",
+                       "--folds", "4", "--trials", "1"]),
     ("variance", ["variance", "--trials", "40", "--seed", "3"]),
 )
 

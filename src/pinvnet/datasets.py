@@ -352,6 +352,8 @@ def accuracy(pred, truth: Dataset) -> float:
 
 def expand_template(template: str, h: int, q: int) -> Tuple[int, ...]:
     """Widths from a template like "h-q", "2h-h-q" or "8h-4h-2h-h-q"."""
+    _check_int("h", h, 1)
+    _check_int("q", q, 1)
     widths = []
     for tok in template.strip().split("-"):
         t = tok.strip()
@@ -422,23 +424,31 @@ def _fit_score(fold, spec: NetworkSpec, cfg: TrainConfig) -> float:
 
 
 def _inner_mean(folds, spec: NetworkSpec, cfg: TrainConfig, top: float,
-                best: Optional[float]) -> Optional[float]:
-    """Mean score of one candidate over the inner folds, or None as soon
-    as it can no longer exceed best + 1e-12.
+                best: Optional[Tuple[float, np.ndarray]]
+                ) -> Optional[Tuple[float, np.ndarray]]:
+    """(mean score, per-fold scores) of one candidate over the inner
+    folds, or None as soon as it can no longer exceed the best mean by
+    more than 1e-12.
 
-    The bound puts every fold not yet scored at the score ceiling `top`.
-    np.mean sums a fixed-length array in a fixed order and rounding is
+    `best` is None for the first candidate, which is scored in fold
+    order, or the best candidate's (mean, per-fold scores). Later
+    candidates score the folds hardest first, in ascending order of the
+    best's scores (ties in fold order), so a losing candidate shows its
+    deficit, and stops, early. Each score goes to its own fold's place
+    in a fixed-length array whose unscored places hold the ceiling
+    `top`; np.mean sums that array in fold order and rounding is
     monotone, so the bound is at least the mean the remaining folds
     would give, also in floating point: a candidate stopped early could
-    not have been selected.
+    not have been selected. A candidate that scores every fold has the
+    mean of its scores in fold order, whatever order they were taken in.
     """
-    scores: List[float] = []
-    for fold in folds:
-        scores.append(_fit_score(fold, spec, cfg))
-        bound = float(np.mean(scores + [top] * (len(folds) - len(scores))))
-        if best is not None and not bound > best + 1e-12:
+    scores = np.full(len(folds), top)
+    order = range(len(folds)) if best is None else np.argsort(best[1], kind="stable")
+    for i in order:
+        scores[i] = _fit_score(folds[i], spec, cfg)
+        if best is not None and not float(np.mean(scores)) > best[0] + 1e-12:
             return None
-    return bound
+    return float(np.mean(scores)), scores
 
 
 def _outer_fold(ds: Dataset, candidates, plan: CvPlan, cfg: TrainConfig,
@@ -458,10 +468,9 @@ def _outer_fold(ds: Dataset, candidates, plan: CvPlan, cfg: TrainConfig,
     folds = [_split(tr_ds, i_tr, i_te, linear_output) for i_tr, i_te in inner]
     best = None
     for tmpl, h, spec in candidates:
-        score = _inner_mean(folds, spec, cfg, top,
-                            None if best is None else best[0])
-        if score is not None:
-            best = (score, tmpl, h, spec)
+        scored = _inner_mean(folds, spec, cfg, top, None if best is None else best[0])
+        if scored is not None:
+            best = (scored, tmpl, h, spec)
     _, tmpl, h, spec = best
     return (tmpl, h), _fit_score(fold, spec, cfg)
 
@@ -481,10 +490,13 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
 
     Candidates are scored fold by fold, and a candidate stops as soon as
     its mean could not exceed the best so far even if every remaining
-    inner fold scored the ceiling (accuracy 1, or SSE 0). The result is
-    that of scoring every fold; only fits that cannot change the
-    selection are skipped, so an error a skipped fit would raise (for
-    example a domain violation with clamp_margin=None) is not raised.
+    inner fold scored the ceiling (accuracy 1, or SSE 0). After the first
+    candidate, the hardest inner folds go first: those where the best
+    candidate so far scored lowest, so a losing candidate stops after
+    few fits. The result is that of scoring every fold; only fits that
+    cannot change the selection are skipped, so an error a skipped fit
+    would raise (for example a domain violation with clamp_margin=None)
+    is not raised.
 
     The outer (trial, fold) jobs are independent and fully seeded, so
     they run in worker processes with one BLAS thread each, one per usable

@@ -152,7 +152,8 @@ def _check_chain(spec: NetworkSpec, w: WeightSet):
 def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
     """Design matrix after `upto_layer` activated layers; 0 means the
     augmented input itself."""
-    if not 0 <= upto_layer <= spec.n_layers - 1:
+    _check_int("upto_layer", upto_layer, 0)
+    if upto_layer > spec.n_layers - 1:
         raise InvalidArgumentError(
             f"upto_layer must be in [0, {spec.n_layers - 1}], got {upto_layer}"
         )

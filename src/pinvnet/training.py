@@ -108,31 +108,30 @@ def _check_finite(a, f, margin, what):
     return a
 
 
-def _pull_step(t, wj, f, skip_inverse, margin, opts, what):
-    """One back-chain step through layer j: the functional inverse of f
-    (skipped for a linear output layer), then a right-multiply by the
-    pseudoinverse of W_j, an LU inverse when W_j is square and certified
-    well-conditioned (`linalg._pinv_or_inverse`). Returns (target,
-    clamped entry count), or raises if the target is not finite, naming
-    `what` and clamp_margin."""
-    clamped = 0
-    if not skip_inverse:
-        t, clamped = invert_with_count(f, t, margin)
-    return _check_finite(t @ _pinv_or_inverse(wj, opts), f, margin, what), clamped
+def _pull_step(t, wj, f, margin, opts, what):
+    """One back-chain step through layer j: the target, already through
+    f's inverse, right-multiplied by the pseudoinverse of W_j, an LU
+    inverse when W_j is square and certified well-conditioned
+    (`linalg._pinv_or_inverse`). Raises if the product is not finite,
+    naming `what` and clamp_margin."""
+    return _check_finite(t @ _pinv_or_inverse(wj, opts), f, margin, what)
 
 
 def back_target(y, weights_after, activation, linear_output,
                 clamp_margin=_DEFAULT_MARGIN, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
     """Back-propagated target for a layer, given the downstream weights in
-    output-to-inner order and the network's activation, through `train`'s
-    pull step, so a square, certified well-conditioned weight is pulled
-    through by its LU inverse. The layer's own inverse is not applied
-    here."""
+    output-to-inner order and the network's activation: each step takes
+    the functional inverse (skipped before a linear output layer) and then
+    `train`'s pull step, so a square, certified well-conditioned weight is
+    pulled through by its LU inverse. The layer's own inverse is not
+    applied here."""
     t = as_array(y, "y")
     for idx, wj in enumerate(weights_after):
-        t, _ = _pull_step(t, as_array(wj, "weights_after"), activation,
-                          idx == 0 and linear_output, clamp_margin, pinv_opts,
-                          f"target pulled back through weights_after[{idx}]")
+        wj = as_array(wj, "weights_after")
+        if not (idx == 0 and linear_output):
+            t, _ = invert_with_count(activation, t, clamp_margin)
+        t = _pull_step(t, wj, activation, clamp_margin, pinv_opts,
+                       f"target pulled back through weights_after[{idx}]")
     return t
 
 
@@ -191,10 +190,11 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
 
     Two prefix caches keep each factorization to one: the design of
     every layer up to the next one solved, carried forward from aug(x),
-    and y pulled back through the output-side layers, carried backward
-    with its cumulative clamp count. Solving layer k drops the designs
-    of the layers after k and every pull-back through layer k; each
-    missing entry is rebuilt from its neighbour with the same operations
+    and y pulled back through the output-side layers and f's inverse,
+    carried backward with its cumulative clamp count, so each pulled
+    target is inverted once, for the layer it targets and for the next
+    pull step alike. Solving layer k drops the designs of the layers
+    after k and every pull-back through layer k; each missing entry is rebuilt from its neighbour with the same operations
     in the same order as a from-scratch rebuild, so results are bit for
     bit those of rebuilding everything per layer. The default order
     makes 2n - 1 pseudoinverse factorizations (n - 1 placeholders, n
@@ -266,10 +266,12 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         # consume exactly the same stream
         w[1] = draw(1)
 
-    # designs[j - 1] is layer j's input; pulled[i] is (y pulled back
-    # through layers n..n+1-i, cumulative clamp count)
+    # designs[j - 1] is layer j's input; pulled[i] is (f^-1 of y pulled
+    # back through layers n..n+1-i, cumulative clamp count), layer n+1-i's
+    # target and the input of the pull through it; pulled[0] is y itself
+    # for a linear output
     designs = [xa]
-    pulled = [(yarr, 0)]
+    pulled = []
     for k in order:
         while len(designs) < k:
             j = len(designs)
@@ -280,15 +282,18 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             t, clamped = np.eye(m), 0
         else:
             while len(pulled) <= n - k:
-                j = n + 1 - len(pulled)
-                t, clamped = pulled[-1]
-                t, c1 = _pull_step(t, w[j], f, j == n and spec.linear_output, margin,
-                                   opts, f"back-chained target for layer {j - 1}")
-                pulled.append((t, clamped + c1))
+                i = len(pulled)
+                if i == 0:
+                    t, clamped = yarr, 0
+                else:
+                    t, clamped = pulled[-1]
+                    t = _pull_step(t, w[n + 1 - i], f, margin, opts,
+                                   f"back-chained target for layer {n - i}")
+                if not (i == 0 and spec.linear_output):
+                    t, c = invert_with_count(f, t, margin)
+                    clamped += c
+                pulled.append((t, clamped))
             t, clamped = pulled[n - k]
-            if not (k == n and spec.linear_output):
-                t, c2 = invert_with_count(f, t, margin)
-                clamped += c2
         if masks[k - 1] is not None:
             wk = solve_masked_layer(a, t, masks[k - 1], opts)
         else:

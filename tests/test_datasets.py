@@ -270,6 +270,12 @@ def test_expand_template_rejects_junk():
         expand_template("", 2, 3)
 
 
+@pytest.mark.parametrize("h,q", [(2.5, 1), (2, 1.0), (True, 1), (2, False), (0, 1)])
+def test_expand_template_rejects_a_width_that_is_not_an_int_ge_1(h, q):
+    with pytest.raises(InvalidArgumentError, match="h must|q must"):
+        expand_template("h-q", h, q)
+
+
 def test_training_targets_soften_labels_for_invertible_outputs():
     y = encode_targets([0, 1])
     ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
@@ -454,6 +460,62 @@ def test_cv_search_ties_go_to_smaller_h_before_earlier_template(monkeypatch):
     assert len(scored) > 0
     assert (result.template, result.h) == ("2h-h-q", 1)
     assert set(result.selections) == {("2h-h-q", 1)}
+
+
+# per-fold scores of each width on every 4-fold inner split, as accuracies;
+# a regression search scores them shifted by -1 (negative SSE, ceiling 0)
+_INNER_SCORES = {
+    1: [0.9, 0.5, 0.7, 0.6],  # first: every fold in index order, mean 0.675
+    2: [0.8, 0.2, 0.6, 0.5],  # loses: folds 1, 3 put its bound at 0.675
+    3: [1.0, 0.9, 0.8, 0.9],  # wins with mean 0.9, scored hardest first
+    5: [0.0, 1.0, 0.8, 1.0],  # loses at its last fold; h=3's 0.9s tie
+}
+_VISITS = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 3),
+           (3, 1), (3, 3), (3, 2), (3, 0), (5, 2), (5, 1), (5, 3), (5, 0),
+           (3, None)]  # None: the selected width's fit on the outer fold
+
+
+@pytest.mark.parametrize("kind, top", [("classification", 1.0), ("regression", 0.0)])
+def test_cv_search_scores_the_best_candidates_hardest_folds_first(kind, top,
+                                                                  monkeypatch):
+    _in_process(monkeypatch)
+    splits, visits = [], []
+    real_split = datasets_module._split
+
+    def recording_split(*args):
+        splits.append(real_split(*args))
+        return splits[-1]
+
+    def fake_fit_score(fold, spec, cfg):
+        # an outer fold splits once for itself, then once per inner fold
+        at = [s is fold for s in splits[-5:]].index(True)
+        h = spec.widths[0]
+        visits.append((h, at - 1 if at else None))
+        return _INNER_SCORES[h][at - 1] - 1.0 + top if at else top
+
+    monkeypatch.setattr(datasets_module, "_split", recording_split)
+    monkeypatch.setattr(datasets_module, "_fit_score", fake_fit_score)
+    if kind == "classification":
+        ds, _ = gen_spiral(2, 40, seed=0)
+    else:
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 1)))
+    plan = CvPlan(folds=4, trials=1, seed=0, stratified=False)
+    result = cv_search(ds, ["h-q"], [5, 3, 2, 1], plan,
+                       TrainConfig(InitScheme.random(0)), SP)
+    assert visits == _VISITS * plan.folds
+    assert result.selections == (("h-q", 3),) * plan.folds
+
+    # h=2 stops after the 2 fits its bound needs; in index order (the
+    # order a best with equal scores gives) it takes 3
+    folds = splits[-4:]
+    h1, h2 = (datasets_module._spec_for(ds, "h-q", h, SP, False) for h in (1, 2))
+    best = datasets_module._inner_mean(folds, h1, None, top, None)
+    for best_scores, fits in ((best[1], 2), (np.zeros(4), 3)):
+        visits.clear()
+        assert datasets_module._inner_mean(folds, h2, None, top,
+                                           (best[0], best_scores)) is None
+        assert len(visits) == fits
 
 
 def test_cv_search_fits_duplicate_grid_values_once(monkeypatch):

@@ -127,6 +127,14 @@ def test_hidden_activation_stage_zero_is_the_augmented_input():
     assert a1.shape == (4, 2)
 
 
+@pytest.mark.parametrize("upto_layer", [0.5, 1.0, True, -1, 2])
+def test_hidden_activation_rejects_a_bad_layer_index(upto_layer):
+    spec = _spec([2, 1], 2)
+    w = WeightSet([np.ones((3, 2)), np.ones((2, 1))])
+    with pytest.raises(InvalidArgumentError, match="upto_layer"):
+        hidden_activation(spec, w, np.ones((4, 2)), upto_layer)
+
+
 def test_forward_rejects_mismatched_weight_shapes():
     spec = _spec([3, 2], 2)
     bad = WeightSet([np.ones((4, 3)), np.ones((3, 2))])
