@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolationError, InvalidArgumentError
+from .errors import DomainViolationError, InvalidArgumentError, _check_real
 from .linalg import as_array
 
 __all__ = [
@@ -52,8 +52,7 @@ class ActivationKind:
         if self.variant != "exp_scaled" and self.alpha != _DEFAULT_ALPHA:
             raise InvalidArgumentError(
                 f"{self.variant} takes no alpha, got {self.alpha!r}")
-        if not 0 < self.alpha < math.inf:
-            raise InvalidArgumentError("exp_scaled alpha must be finite and > 0")
+        _check_real("alpha", self.alpha, 0, strict=True)
 
     @classmethod
     def identity(cls):
@@ -115,13 +114,14 @@ def apply(kind: ActivationKind, a):
 
 def invert_with_count(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
     """g(y) entrywise plus the number of entries raised to the clamp floor;
-    raises on out-of-domain when the clamp is disabled (margin None) or
-    cannot help (margin 0)."""
+    clamp_margin must be a finite number >= 0, and 0 turns clamping off:
+    an entry at or below the bound then raises."""
+    _check_real("clamp_margin", clamp_margin, 0)
     y = as_array(y, "inverse input")
     low = kind.lower_bound
     clamped = 0
     if math.isfinite(low):
-        if clamp_margin is None or clamp_margin == 0.0:
+        if clamp_margin == 0:
             bad = y <= low
             if bad.any():
                 pos = tuple(int(v) for v in np.argwhere(bad)[0])
@@ -160,7 +160,7 @@ def invert(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
     """g(y) entrywise.
 
     Entries below lower_bound + clamp_margin are raised to that floor
-    first. Pass clamp_margin=None to disable clamping, in which case any
+    first. Pass clamp_margin=0 to disable clamping, in which case any
     entry at or below the bound raises DomainViolationError naming its
     position.
     """

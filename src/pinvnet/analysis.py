@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from .activations import ActivationKind, apply
-from .errors import InvalidArgumentError, _check_int
+from .errors import InvalidArgumentError, _check_int, _check_real
 from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
 __all__ = [
@@ -43,14 +43,13 @@ class VarianceConfig:
             _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
         lo, hi = self.input_range
+        _check_real("input_range[0]", lo)
+        _check_real("input_range[1]", hi)
         # the draws span [lo, hi], whose width hi - lo must be finite too
         if not (lo < hi and math.isfinite(hi - lo)):
             raise InvalidArgumentError(
-                f"input_range must be finite with lo < hi and a finite span "
-                f"hi - lo, got {self.input_range}")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
-            raise InvalidArgumentError(
-                f"noise_scale must be finite and > 0, got {self.noise_scale!r}")
+                f"input_range must have lo < hi and a finite span, got {self.input_range}")
+        _check_real("noise_scale", self.noise_scale, 0, strict=True)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .errors import (
     DomainViolationError,
     InvalidArgumentError,
     PinvnetError,
+    _check_bool,
     _check_int,
 )
 from .linalg import PinvOptions, penrose_residual, pinv, write_matrix_csv
@@ -77,7 +78,7 @@ def _number(kind):
         if isinstance(value, (str, int, kind)) and not isinstance(value, bool):
             try:
                 return kind(value)
-            except ValueError:
+            except (ValueError, OverflowError):  # bad text, or an int past float range
                 pass
         raise _bad(flag, f"a number of type {kind.__name__}", value)
     return convert
@@ -87,9 +88,8 @@ _int, _float = _number(int), _number(float)
 
 
 def _switch(value, flag):
-    if isinstance(value, bool):
-        return value
-    raise _bad(flag, "true or false", value)
+    _check_bool(flag, value)
+    return value
 
 
 def _text(value, flag):
@@ -131,11 +131,6 @@ def _tolerance(value, flag):
     if value != "auto":
         _float(str(value), flag)
     return value
-
-
-def _margin(value, flag):
-    """A float, or null in the config file to turn clamping off."""
-    return None if value is None else _float(value, flag)
 
 
 def _numbers(value, convert, flag):
@@ -183,7 +178,7 @@ _SOLVER = (
            "skip the final activation on output"),
     Option("c", 1.0, _float, "placeholder scale factor"),
     _SEED,
-    Option("clamp_margin", _DEFAULT_MARGIN, _margin),
+    Option("clamp_margin", _DEFAULT_MARGIN, _float, "0 turns clamping off"),
     Option("tolerance", "auto", _tolerance,
            "'auto' or an absolute singular-value cutoff"),
     Option("ridge", 0.0, _float,
@@ -325,10 +320,10 @@ def _write_artifacts(out, command: str, echo, files) -> None:
             body[0](body[1], out / name)
 
 
-def _pinv_opts(opts) -> PinvOptions:
-    if opts.tolerance == "auto":
-        return PinvOptions.automatic(opts.ridge)
-    return PinvOptions.explicit(float(opts.tolerance), opts.ridge)
+def _train_config(opts, scheme: InitScheme) -> TrainConfig:
+    """The solver options as a TrainConfig; tolerance "auto" is None."""
+    tolerance = None if opts.tolerance == "auto" else float(opts.tolerance)
+    return TrainConfig(scheme, PinvOptions(tolerance, opts.ridge), opts.clamp_margin)
 
 
 def _load_dataset(opts):
@@ -355,13 +350,8 @@ def cmd_train(args) -> int:
     spec = build_spec(opts.structure, ds.x.shape[1], activation,
                       opts.linear_output)
     targets = training_targets(ds, opts.linear_output)
-    if opts.init == "data_matrix":
-        scheme = InitScheme.data_matrix()
-    else:
-        scheme = InitScheme.random(opts.seed, opts.c, opts.solve_order)
-    cfg = TrainConfig(scheme, _pinv_opts(opts), opts.clamp_margin)
+    cfg = _train_config(opts, InitScheme(opts.init, opts.seed, opts.c, opts.solve_order))
     report = train(spec, ds.x, targets, cfg)
-    tolerance = cfg.pinv_opts.tolerance
 
     body = {
         "structure": opts.structure,
@@ -372,13 +362,10 @@ def cmd_train(args) -> int:
             "kind": opts.init,
             "seed": opts.seed,
             "c": opts.c,
-            "solve_order": list(scheme.solve_order) if scheme.solve_order else None,
+            "solve_order": list(cfg.init.solve_order) if cfg.init.solve_order else None,
         },
-        "pinv": {
-            "tolerance_mode": "automatic" if tolerance is None else "explicit",
-            "tolerance": 0.0 if tolerance is None else tolerance,
-            "ridge": cfg.pinv_opts.ridge,
-        },
+        # tolerance null is the automatic cutoff
+        "pinv": {"tolerance": cfg.pinv_opts.tolerance, "ridge": cfg.pinv_opts.ridge},
         "clamp_margin": cfg.clamp_margin,
         "per_layer_solve_residuals": report.per_layer_solve_residuals,
         "clamped_entry_counts": report.clamped_entry_counts,
@@ -409,11 +396,7 @@ def cmd_cv(args) -> int:
         opts.stratified = echo["stratified"] = False
     grid = list(DEFAULT_GRID) if opts.grid is None else opts.grid
     plan = CvPlan(opts.folds, opts.trials, opts.seed, opts.stratified)
-    cfg = TrainConfig(
-        InitScheme.random(opts.seed, opts.c),
-        _pinv_opts(opts),
-        opts.clamp_margin,
-    )
+    cfg = _train_config(opts, InitScheme.random(opts.seed, opts.c))
     result = cv_search(ds, [opts.template], grid, plan, cfg,
                        parse_kind(opts.activation), opts.linear_output)
     body = {

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import ActivationKind
-from .errors import CsvParseError, InvalidArgumentError, _check_int
+from .errors import CsvParseError, InvalidArgumentError, _check_bool, _check_int, _check_real
 from .linalg import _write_csv, as_array, sse
 from .network import NetworkSpec, forward
 from .parallel import map_jobs
@@ -94,6 +94,7 @@ class CvPlan:
         _check_int("folds", self.folds, 2)
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
+        _check_bool("stratified", self.stratified)
 
 
 def _sinc2(x: np.ndarray) -> np.ndarray:
@@ -110,14 +111,13 @@ def gen_regression(noisy_sets: int = 0, noise_frac: float = 0.0, seed: int = 0):
     """
     _check_int("noisy_sets", noisy_sets, 0)
     _check_int("seed", seed, 0)
+    _check_real("noise_frac", noise_frac, 0)
     x = np.arange(1.0, 9.0).reshape(-1, 1)
     y = _sinc2(x)
     amp = noise_frac * float(y.max() - y.min())
     # the draws span [-amp, amp], whose width must be a finite float too
-    if not (noise_frac >= 0 and math.isfinite(2.0 * amp)):
-        raise InvalidArgumentError(
-            f"noise_frac must be finite and >= 0 with a finite noise span, "
-            f"got {noise_frac!r}")
+    if not math.isfinite(2.0 * amp):
+        raise InvalidArgumentError(f"noise_frac {noise_frac!r} gives an infinite noise span")
     trains = [Dataset(x, y)]
     rng = np.random.default_rng(seed)
     for _ in range(noisy_sets):
@@ -143,8 +143,7 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
     if per_arm % 2:
         raise InvalidArgumentError(f"per_arm must be even, got {per_arm}")
     _check_int("seed", seed, 0)
-    if not math.isfinite(noise):
-        raise InvalidArgumentError(f"noise must be finite, got {noise!r}")
+    _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     pts = np.empty((arms * per_arm, 2))
     labels = np.empty(arms * per_arm, dtype=int)
@@ -194,6 +193,7 @@ def load_csv(path, label_column=-1, header: bool = False,
     label cell parses as a float, over all data rows, and classification
     otherwise.
     """
+    _check_bool("header", header)
     if missing_policy not in ("drop", "mean-impute"):
         raise InvalidArgumentError(f"unknown missing_policy {missing_policy!r}")
     if kind not in ("classification", "regression", "auto"):
@@ -235,12 +235,12 @@ def load_csv(path, label_column=-1, header: bool = False,
             )
         label_idx = names.index(label_column)
     else:
-        label_idx = int(label_column)
-        if not -ncols <= label_idx < ncols:
+        _check_int("label_column", label_column)
+        if not -ncols <= label_column < ncols:
             raise InvalidArgumentError(
                 f"label column {label_column} out of range for {ncols} columns"
             )
-        label_idx %= ncols
+        label_idx = int(label_column) % ncols
 
     feat_idx = [j for j in range(ncols) if j != label_idx]
 
@@ -495,8 +495,8 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     candidate so far scored lowest, so a losing candidate stops after
     few fits. The result is that of scoring every fold; only fits that
     cannot change the selection are skipped, so an error a skipped fit
-    would raise (for example a domain violation with clamp_margin=None)
-    is not raised.
+    would raise (for example a domain violation with clamp_margin=0) is
+    not raised.
 
     The outer (trial, fold) jobs are independent and fully seeded, so
     they run in worker processes with one BLAS thread each, one per usable

@@ -1,10 +1,12 @@
-"""Shared exception types, and the one check of an integer count or seed.
+"""Shared exception types, and the one check of each kind of setting: an
+int, a real number and a switch. A bad value raises InvalidArgumentError,
+a ValueError naming its field; the CLI maps it and CsvParseError to exit
+2, DomainViolationError and the other PinvnetErrors to exit 1."""
 
-Every bad input value raises InvalidArgumentError, a ValueError; the CLI
-maps it and CsvParseError to exit 2, DomainViolationError and the other
-PinvnetErrors to exit 1."""
-
+import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "PinvnetError",
@@ -44,8 +46,31 @@ class CsvParseError(PinvnetError, ValueError):
         self.line = line
 
 
-def _check_int(name, value, low):
+def _floor(low, strict=False):
+    return "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+
+
+def _check_int(name, value, low=-math.inf):
     """Raise InvalidArgumentError naming `name` unless value is an int >= low
     (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise InvalidArgumentError(f"{name} must be an int >= {low}, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be an int{_floor(low)}, got {value!r}")
+
+
+def _check_real(name, value, low=-math.inf, strict=False):
+    """Raise InvalidArgumentError naming `name` unless value is a finite real
+    number >= low, or > low when strict (a bool is not)."""
+    try:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value) and (value > low if strict else value >= low))
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(
+            f"{name} must be a finite number{_floor(low, strict)}, got {value!r}")
+
+
+def _check_bool(name, value):
+    """Raise InvalidArgumentError naming `name` unless value is a (numpy) bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")

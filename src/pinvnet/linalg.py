@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_real
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -34,14 +34,14 @@ class Matrix:
     Every other function takes and returns plain ndarrays. The class
     remains only because the benchmark reads `.array` on those two
     results; it goes with ROADMAP item 6, which waits on the benchmark
-    change of item 1. The constructor validates through `as_array` and
-    keeps a read-only C-ordered copy.
+    change of item 1. The constructor validates through `as_array`, with
+    `name` in its errors, and keeps a read-only C-ordered copy.
     """
 
     __slots__ = ("_a",)
 
-    def __init__(self, data):
-        a = np.array(as_array(data), order="C")
+    def __init__(self, data, name="matrix"):
+        a = np.array(as_array(data, name), order="C")
         a.setflags(write=False)
         self._a = a
 
@@ -85,12 +85,9 @@ class PinvOptions:
     ridge: float = 0.0
 
     def __post_init__(self):
-        # None, the automatic cutoff, checks as 0.0
-        for name, value in (("tolerance", self.tolerance or 0.0),
-                            ("ridge", self.ridge)):
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidArgumentError(
-                    f"{name} must be finite and >= 0, got {value!r}")
+        if self.tolerance is not None:
+            _check_real("tolerance", self.tolerance, 0)
+        _check_real("ridge", self.ridge, 0)
 
     @classmethod
     def automatic(cls, ridge: float = 0.0) -> "PinvOptions":
@@ -98,8 +95,7 @@ class PinvOptions:
 
     @classmethod
     def explicit(cls, tolerance: float, ridge: float = 0.0) -> "PinvOptions":
-        if tolerance is None:
-            raise InvalidArgumentError("explicit needs a numeric tolerance")
+        _check_real("tolerance", tolerance, 0)
         return cls(tolerance, ridge)
 
 

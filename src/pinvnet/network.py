@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .activations import ActivationKind, apply
-from .errors import InvalidArgumentError, _check_int
+from .errors import InvalidArgumentError, _check_bool, _check_int
 from .linalg import Matrix, as_array
 
 __all__ = [
@@ -47,6 +47,7 @@ class NetworkSpec:
         bands = (tuple(self.receptive_fields) if self.receptive_fields is not None
                  else (None,) * len(widths))
         _check_int("input_dim", self.input_dim, 1)
+        _check_bool("linear_output", self.linear_output)
         if not widths:
             raise InvalidArgumentError("need at least one layer")
         if len(bands) != len(widths):
@@ -77,16 +78,25 @@ class WeightSet:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        self.weights = tuple(Matrix(as_array(w, "weight")) for w in weights)
+        self.weights = tuple(Matrix(w, "weight") for w in weights)
 
     def __len__(self):
         return len(self.weights)
 
 
-def augment(x):
-    """Prepend a column of ones: m x d -> m x (d+1)."""
-    arr = as_array(x, "augment input")
+def augment(x, name="augment input"):
+    """Prepend a column of ones: m x d -> m x (d+1); errors name `name`."""
+    arr = as_array(x, name)
     return np.hstack([np.ones((arr.shape[0], 1)), arr])
+
+
+def _input_design(spec: NetworkSpec, x_raw):
+    """augment(x_raw), validated once and checked against spec.input_dim."""
+    a = augment(x_raw, "x_raw")
+    if a.shape[1] - 1 != spec.input_dim:
+        raise InvalidArgumentError(
+            f"x_raw has {a.shape[1] - 1} columns, spec.input_dim is {spec.input_dim}")
+    return a
 
 
 def _check_band(r):
@@ -158,12 +168,7 @@ def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
             f"upto_layer must be in [0, {spec.n_layers - 1}], got {upto_layer}"
         )
     _check_chain(spec, w)
-    x = as_array(x_raw, "x_raw")
-    if x.shape[1] != spec.input_dim:
-        raise InvalidArgumentError(
-            f"input has {x.shape[1]} columns, spec.input_dim is {spec.input_dim}"
-        )
-    a = augment(x)
+    a = _input_design(spec, x_raw)
     for k in range(upto_layer):
         a = apply(spec.activation, a @ w.weights[k].array)
     return a

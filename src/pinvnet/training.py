@@ -12,17 +12,16 @@ There is no iteration: every weight matrix is written once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
-from .errors import InvalidArgumentError, _check_int
+from .errors import InvalidArgumentError, _check_int, _check_real
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
                      as_array, sse)
-from .network import NetworkSpec, WeightSet, augment, default_masks
+from .network import NetworkSpec, WeightSet, _input_design, default_masks
 
 __all__ = [
     "InitScheme",
@@ -54,10 +53,7 @@ class InitScheme:
         if self.kind not in ("random", "data_matrix"):
             raise InvalidArgumentError(f"unknown init kind {self.kind!r}")
         _check_int("seed", self.seed, 0)
-        if self.kind == "random" and not (math.isfinite(self.scale_c)
-                                          and self.scale_c > 0):
-            raise InvalidArgumentError(
-                f"scale_c must be finite and > 0, got {self.scale_c!r}")
+        _check_real("scale_c", self.scale_c, 0, strict=True)
         if self.solve_order is not None:
             object.__setattr__(self, "solve_order", tuple(self.solve_order))
             if self.kind == "data_matrix":
@@ -78,13 +74,10 @@ class InitScheme:
 class TrainConfig:
     init: InitScheme
     pinv_opts: PinvOptions = _DEFAULT_OPTS
-    clamp_margin: Optional[float] = _DEFAULT_MARGIN
+    clamp_margin: float = _DEFAULT_MARGIN
 
     def __post_init__(self):
-        margin = self.clamp_margin
-        if margin is not None and not (math.isfinite(margin) and margin >= 0):
-            raise InvalidArgumentError(
-                f"clamp_margin must be finite and >= 0, or None, got {margin!r}")
+        _check_real("clamp_margin", self.clamp_margin, 0)
 
 
 @dataclass
@@ -103,7 +96,7 @@ def _check_finite(a, f, margin, what):
     clamp_margin, whose large values overflow targets and weights."""
     if not np.isfinite(a).all():
         raise InvalidArgumentError(
-            f"{what} is not finite (clamp floor {f.lower_bound + (margin or 0.0)!r} "
+            f"{what} is not finite (clamp floor {f.lower_bound + margin!r} "
             f"= lower bound {f.lower_bound!r} + clamp_margin {margin!r})")
     return a
 
@@ -125,6 +118,7 @@ def back_target(y, weights_after, activation, linear_output,
     `train`'s pull step, so a square, certified well-conditioned weight is
     pulled through by its LU inverse. The layer's own inverse is not
     applied here."""
+    _check_real("clamp_margin", clamp_margin, 0)
     t = as_array(y, "y")
     for idx, wj in enumerate(weights_after):
         wj = as_array(wj, "weights_after")
@@ -209,13 +203,9 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     pre-activation: train_sse is read from it, equal bit for bit to the
     SSE of `forward` on the training inputs, without a second pass.
     """
-    x = as_array(x_raw, "x_raw")
+    xa = _input_design(spec, x_raw)
     yarr = as_array(y, "y")
-    if x.shape[1] != spec.input_dim:
-        raise InvalidArgumentError(
-            f"x has {x.shape[1]} columns, spec.input_dim is {spec.input_dim}"
-        )
-    if yarr.shape[0] != x.shape[0]:
+    if yarr.shape[0] != xa.shape[0]:
         raise InvalidArgumentError("x and y must have the same row count")
     if yarr.shape[1] != spec.widths[-1]:
         raise InvalidArgumentError(
@@ -223,10 +213,9 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         )
 
     n = spec.n_layers
-    m = x.shape[0]
+    m = xa.shape[0]
     f = spec.activation
     masks = default_masks(spec)
-    xa = augment(x)
     opts = cfg.pinv_opts
     margin = cfg.clamp_margin
 
@@ -303,11 +292,13 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         # design computed through it and every pull-back through it
         del designs[k:]
         del pulled[n + 1 - k:]
-        residuals[k - 1] = float(np.linalg.norm(a @ wk - t))
+        z = a @ wk
+        residuals[k - 1] = float(np.linalg.norm(z - t))
         counts[k - 1] = clamped
+        if k < n:  # only the output layer's product outlives its solve
+            del z
 
-    # layer n was solved last, so `a` is its design under the final weights
-    z = a @ w[n]
+    # layer n was solved last: z is the output's pre-activation
     out = z if spec.linear_output else _apply(f, z)
     return TrainReport(
         weights=WeightSet(w[1:]),

@@ -77,7 +77,7 @@ def test_clamp_disabled_raises_with_offender_position():
     sp = ActivationKind.softplus08()
     y = np.array([[1.0, np.log(0.8) - 0.2]])
     with pytest.raises(DomainViolationError) as err:
-        invert_with_count(sp, y, clamp_margin=None)
+        invert_with_count(sp, y, clamp_margin=0)
     assert err.value.position == (0, 1)
     with pytest.raises(DomainViolationError):
         invert_with_count(sp, y, clamp_margin=0.0)

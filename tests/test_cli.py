@@ -60,6 +60,20 @@ def test_train_writes_report_without_wall_time(tmp_path, capsys, spiral_csv):
     assert "elapsed" in stderr  # timing stays off the artifact files
 
 
+@pytest.mark.parametrize("flags, pinv", [
+    ([], {"tolerance": None, "ridge": 0.0}),
+    (["--tolerance", "0"], {"tolerance": 0.0, "ridge": 0.0}),
+    (["--tolerance", "1e-4", "--ridge", "0.5"], {"tolerance": 1e-4, "ridge": 0.5}),
+], ids=["automatic", "zero", "explicit-ridge"])
+def test_train_report_echoes_the_pinv_options_as_they_are(tmp_path, spiral_csv,
+                                                           flags, pinv):
+    # null is the automatic cutoff; 0.0 keeps every nonzero singular value
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(spiral_csv), "--structure", "10-3",
+                 *flags, "--out", str(out)]) == 0
+    assert json.loads((out / "train_report.json").read_text())["pinv"] == pinv
+
+
 def test_train_dump_weights_emits_one_csv_per_layer(tmp_path, spiral_csv):
     out = tmp_path / "run"
     assert main(["train", "--data", str(spiral_csv), "--structure", "5-4-3",
@@ -250,6 +264,8 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys, monkeypatch):
         (["train", "--structure", "4-3", "--activation", "foo"], "--activation"),
         (["variance", "--activation", "foo"], "--activation"),
         (["train", "--structure", "5-x-3"], "--structure"),
+        (["train", "--structure", "4-3", "--init", "data_matrix",
+          "--solve-order", "1"], "data_matrix"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
@@ -259,7 +275,7 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys, monkeypatch):
          "train-exp-inf", "variance-exp-inf", "range-span-overflow",
          "regression-noise-span-overflow", "clamp-margin-overflow",
          "train-activation-unknown", "variance-activation-unknown",
-         "train-structure-token"],
+         "train-structure-token", "data-matrix-solve-order"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):
@@ -372,6 +388,8 @@ def test_bad_shapes_argument_exits_2(capsys):
         (["variance"], {"range": [True, 2]}, "--range"),
         (["train", "--structure", "4-3"], {"c": False}, "--c"),
         (["cv"], {"grid": 5}, "--grid"),
+        (["train", "--structure", "4-3"], {"clamp_margin": None}, "--clamp-margin"),
+        (["train", "--structure", "4-3"], {"c": 10 ** 400}, "--c"),
     ],
     ids=["cv-folds", "cv-trials", "cv-c", "cv-clamp-margin", "train-seed",
          "train-clamp-margin", "train-ridge", "train-tolerance", "spiral-arms",
@@ -380,7 +398,8 @@ def test_bad_shapes_argument_exits_2(capsys):
          "cv-template", "train-activation", "train-structure",
          "cv-folds-float", "train-seed-bool", "selfcheck-count-huge-float",
          "cv-grid-float", "train-solve-order-bool", "variance-range-bool",
-         "train-c-bool", "cv-grid-not-a-list"],
+         "train-c-bool", "cv-grid-not-a-list", "train-clamp-margin-null",
+         "train-c-huge-int"],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, spiral_csv, argv, config,
                                   message):

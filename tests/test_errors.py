@@ -1,17 +1,23 @@
-"""Every count and seed that enters the library is checked by one rule: an
-int (not a bool) at or above its floor, else InvalidArgumentError naming
-the field."""
+"""Every setting that enters the library is checked by one rule per kind,
+else InvalidArgumentError names the field: a count or seed must be an int
+at or above its floor, a real setting a finite number at or above (or, for
+a strict floor, above) its floor, and a switch a bool. A bool is not a
+number, and a string is neither."""
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pinvnet.activations import ActivationKind
+from pinvnet.activations import ActivationKind, invert, invert_with_count
 from pinvnet.analysis import VarianceConfig, solution_count
-from pinvnet.datasets import CvPlan, Dataset, cv_search, gen_regression, gen_spiral
-from pinvnet.errors import InvalidArgumentError
+from pinvnet.datasets import (CvPlan, Dataset, cv_search, gen_regression, gen_spiral,
+                              load_csv)
+from pinvnet.errors import DomainViolationError, InvalidArgumentError
+from pinvnet.linalg import PinvOptions
 from pinvnet.network import NetworkSpec, receptive_mask
-from pinvnet.training import InitScheme, TrainConfig
+from pinvnet.training import InitScheme, TrainConfig, back_target
 
 SP = ActivationKind.softplus08()
 
@@ -65,3 +71,110 @@ def test_numpy_integers_pass_the_check():
     assert CvPlan(np.int64(3), np.int32(2), np.int64(1)).folds == 3
     assert NetworkSpec(np.int64(2), (np.int64(3),), SP).input_dim == 2
     assert solution_count(np.int64(3)) == (2, 3)
+
+
+Y = np.array([[0.5, 1.0]])
+W = np.eye(2)
+CSV = Path(__file__).parent / "data" / "iris_like.csv"
+
+# (field as the message names it, its floor or None, strict, a call that
+# passes value there)
+REALS = {
+    "PinvOptions.tolerance": ("tolerance", 0, False, PinvOptions),
+    "PinvOptions.explicit": ("tolerance", 0, False, PinvOptions.explicit),
+    "PinvOptions.ridge": ("ridge", 0, False, lambda v: PinvOptions(None, v)),
+    "InitScheme.scale_c": ("scale_c", 0, True, lambda v: InitScheme.random(0, v)),
+    "TrainConfig.clamp_margin": (
+        "clamp_margin", 0, False,
+        lambda v: TrainConfig(InitScheme.random(0), clamp_margin=v)),
+    "ActivationKind.alpha": ("alpha", 0, True, ActivationKind.exp_scaled),
+    "VarianceConfig.noise_scale": (
+        "noise_scale", 0, True, lambda v: VarianceConfig(noise_scale=v)),
+    "VarianceConfig.input_range.lo": (
+        "input_range[0]", None, False, lambda v: VarianceConfig(input_range=(v, 5.0))),
+    "VarianceConfig.input_range.hi": (
+        "input_range[1]", None, False, lambda v: VarianceConfig(input_range=(-5.0, v))),
+    "gen_regression.noise_frac": ("noise_frac", 0, False, lambda v: gen_regression(1, v)),
+    "gen_spiral.noise": ("noise", None, False, lambda v: gen_spiral(2, 4, v)),
+    "invert.clamp_margin": ("clamp_margin", 0, False, lambda v: invert(SP, Y, v)),
+    "invert_with_count.clamp_margin": (
+        "clamp_margin", 0, False, lambda v: invert_with_count(SP, Y, v)),
+    "back_target.clamp_margin": (
+        "clamp_margin", 0, False, lambda v: back_target(Y, [W], SP, True, v)),
+}
+BAD_REALS = {"bool": True, "string": "0.5", "nan": math.nan, "inf": math.inf,
+             "minus_inf": -math.inf, "huge_int": 10 ** 400}
+
+
+def _bad_reals(entry):
+    """The bad values for a real entry: each of BAD_REALS, a value below its
+    floor (the floor itself when strict), and None where None is no
+    setting."""
+    _, low, strict, _ = REALS[entry]
+    bad = dict(BAD_REALS)
+    if low is not None:
+        bad["below_floor"] = low if strict else low - 1
+    if entry != "PinvOptions.tolerance":  # there None is the automatic cutoff
+        bad["none"] = None
+    return bad
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in REALS for kind in _bad_reals(entry)])
+def test_a_real_that_is_not_a_finite_number_at_its_floor_is_rejected_by_name(
+        entry, kind):
+    field, low, strict, call = REALS[entry]
+    floor = "" if low is None else f" {'>' if strict else '>='} {low}"
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{re.escape(field)} must be a finite number{floor}, got "):
+        call(_bad_reals(entry)[kind])
+
+
+@pytest.mark.parametrize("entry", REALS)
+def test_numpy_and_python_numbers_pass_the_real_check(entry):
+    _, low, strict, call = REALS[entry]
+    for good in (np.float64(0.5), 1, np.int64(2), np.float32(0.25)):
+        call(good)
+    if low is not None and not strict:
+        call(low)
+
+
+@pytest.mark.parametrize("margin", [0, 0.0, np.float64(0.0)])
+def test_a_zero_margin_turns_clamping_off(margin):
+    below = np.array([[-0.5, 0.1, 1.0]])
+    with pytest.raises(DomainViolationError):
+        invert(SP, below, margin)
+    with pytest.raises(DomainViolationError):
+        back_target(below, [np.eye(3)], SP, False, margin)
+    assert TrainConfig(InitScheme.random(0), clamp_margin=margin).clamp_margin == 0
+
+
+SWITCHES = {
+    "CvPlan.stratified": ("stratified", lambda v: CvPlan(2, 1, 0, v)),
+    "NetworkSpec.linear_output": ("linear_output", lambda v: NetworkSpec(2, (3,), SP, v)),
+    "load_csv.header": ("header", lambda v: load_csv(CSV, header=v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["no", 1, 0, None, 1.0])
+@pytest.mark.parametrize("entry", SWITCHES)
+def test_a_switch_that_is_not_a_bool_is_rejected_by_name(entry, bad):
+    field, call = SWITCHES[entry]
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{field} must be true or false, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", SWITCHES)
+def test_python_and_numpy_bools_pass_the_switch_check(entry):
+    for good in (True, False, np.True_, np.False_):
+        SWITCHES[entry][1](good)
+
+
+@pytest.mark.parametrize("bad", [1.7, True, 1.0, np.float64(1.0)])
+def test_load_csv_rejects_a_label_index_that_is_not_an_int(tmp_path, bad):
+    path = tmp_path / "d.csv"
+    path.write_text("x,1.0,2.0\ny,3.0,4.0\n")
+    with pytest.raises(InvalidArgumentError, match=r"^label_column must be an int, got "):
+        load_csv(path, label_column=bad)
+    assert load_csv(path, label_column=np.int64(0)).class_labels == ("x", "y")

@@ -111,8 +111,8 @@ def test_workers_run_under_the_callers_numpy_error_state(spawned):
 def test_worker_error_is_the_lowest_failing_job_of_the_serial_path(spawned):
     ok = np.full((2, 2), 0.5)
     # jobs 1 and 2 fail and land in different workers (round-robin)
-    jobs = [(SP, ok, None), (SP, np.array([[0.5, -1.0]]), None),
-            (SP, np.array([[-2.0]]), None), (SP, ok, None)]
+    jobs = [(SP, ok, 0.0), (SP, np.array([[0.5, -1.0]]), 0.0),
+            (SP, np.array([[-2.0]]), 0.0), (SP, ok, 0.0)]
     with pytest.raises(DomainViolationError) as serial:
         for job in jobs:
             invert(*job)
@@ -128,7 +128,7 @@ def test_worker_error_is_the_lowest_failing_job_of_the_serial_path(spawned):
 
 def test_cv_search_worker_error_matches_the_serial_error(spawned, monkeypatch):
     ds, _ = gen_spiral(3, 20, noise=0.2, seed=1)
-    cfg = TrainConfig(InitScheme.random(0, 1.0), clamp_margin=None)
+    cfg = TrainConfig(InitScheme.random(0, 1.0), clamp_margin=0.0)
     errors = []
     for cores in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)

@@ -259,11 +259,11 @@ def test_clamped_entry_counts_surface_domain_repairs():
     assert report.clamped_entry_counts == [8]
 
 
-def test_clamp_margin_none_turns_repairs_into_errors():
+def test_clamp_margin_zero_turns_repairs_into_errors():
     x, _ = _sinc_data()
     y = np.full((8, 1), -2.0)
     spec = build_spec("1", 1, SP, linear_output=False)
-    cfg = TrainConfig(InitScheme.random(0), clamp_margin=None)
+    cfg = TrainConfig(InitScheme.random(0), clamp_margin=0.0)
     with pytest.raises(DomainViolationError):
         train(spec, x, y, cfg)
 
@@ -428,7 +428,7 @@ def test_cached_train_is_bit_identical_to_the_direct_algorithm(
 def test_cached_train_raises_like_the_direct_algorithm_without_clamping():
     x, y = _bit_identity_data()
     spec = build_spec("9-7-5-2", 3, SP, linear_output=False)
-    cfg = TrainConfig(InitScheme.random(4, 0.7), clamp_margin=None)
+    cfg = TrainConfig(InitScheme.random(4, 0.7), clamp_margin=0.0)
     with pytest.raises(DomainViolationError) as got:
         train(spec, x, y, cfg)
     with pytest.raises(DomainViolationError) as want:
