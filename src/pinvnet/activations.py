@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolationError, InvalidArgumentError, _check_real
+from .errors import DomainViolationError, InvalidArgumentError, _check_real, _check_text
 from .linalg import as_array
 
 __all__ = [
@@ -47,8 +47,7 @@ class ActivationKind:
     alpha: float = _DEFAULT_ALPHA
 
     def __post_init__(self):
-        if self.variant not in _LOWER_BOUNDS:
-            raise InvalidArgumentError(f"unknown activation {self.variant!r}")
+        _check_text("variant", self.variant, _LOWER_BOUNDS)
         if self.variant != "exp_scaled" and self.alpha != _DEFAULT_ALPHA:
             raise InvalidArgumentError(
                 f"{self.variant} takes no alpha, got {self.alpha!r}")
@@ -87,6 +86,7 @@ def format_kind(kind: ActivationKind) -> str:
 
 def parse_kind(text: str) -> ActivationKind:
     """Inverse of format_kind; accepts identity/softplus/softplus08/exp:<a>."""
+    _check_text("activation", text)
     if text in ("identity", "softplus", "softplus08"):
         return ActivationKind(text)
     if text.startswith("exp:"):

@@ -42,7 +42,11 @@ class VarianceConfig:
         for name in ("m", "d", "trials", "max_depth"):
             _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
-        lo, hi = self.input_range
+        try:
+            lo, hi = self.input_range
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"input_range must be a pair lo, hi, got {self.input_range!r}") from None
         _check_real("input_range[0]", lo)
         _check_real("input_range[1]", hi)
         # the draws span [lo, hi], whose width hi - lo must be finite too

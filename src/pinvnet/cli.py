@@ -44,6 +44,7 @@ from .errors import (
     PinvnetError,
     _check_bool,
     _check_int,
+    _check_text,
 )
 from .linalg import PinvOptions, penrose_residual, pinv, write_matrix_csv
 from .network import build_spec, forward, parse_structure
@@ -92,17 +93,17 @@ def _switch(value, flag):
     return value
 
 
-def _text(value, flag):
-    if isinstance(value, str):
-        return value
-    raise _bad(flag, "text", value)
+def _text(value, flag, choices=None):
+    _check_text(flag, value, choices)
+    return value
 
 
 def _parsed(parse):
     """Text that parse() accepts, kept as given; else an error naming the flag."""
     def convert(value, flag):
+        _text(value, flag)
         try:
-            parse(_text(value, flag))
+            parse(value)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{flag}: {exc}") from None
         return value
@@ -111,9 +112,7 @@ def _parsed(parse):
 
 def _choice(*names):
     def convert(value, flag):
-        if isinstance(value, str) and value in names:
-            return value
-        raise _bad(flag, "one of " + ", ".join(names), value)
+        return _text(value, flag, names)
     convert.choices = names
     return convert
 

@@ -10,7 +10,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .activations import ActivationKind
-from .errors import CsvParseError, InvalidArgumentError, _check_bool, _check_int, _check_real
+from .errors import (CsvParseError, InvalidArgumentError, _check_bool, _check_int,
+                     _check_real, _check_text)
 from .linalg import _write_csv, as_array, sse
 from .network import NetworkSpec, forward
 from .parallel import map_jobs
@@ -47,8 +48,7 @@ class Dataset:
     kind: str = "regression"
 
     def __post_init__(self):
-        if self.kind not in ("regression", "classification"):
-            raise InvalidArgumentError(f"unknown dataset kind {self.kind!r}")
+        _check_text("kind", self.kind, ("regression", "classification"))
         for name in ("x", "y"):
             view = as_array(getattr(self, name), name).view()
             view.setflags(write=False)
@@ -194,10 +194,8 @@ def load_csv(path, label_column=-1, header: bool = False,
     otherwise.
     """
     _check_bool("header", header)
-    if missing_policy not in ("drop", "mean-impute"):
-        raise InvalidArgumentError(f"unknown missing_policy {missing_policy!r}")
-    if kind not in ("classification", "regression", "auto"):
-        raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
+    _check_text("missing_policy", missing_policy, ("drop", "mean-impute"))
+    _check_text("kind", kind, ("classification", "regression", "auto"))
     rows: List[List[str]] = []
     line_nos: List[int] = []  # the 1-based file line of each data row
     names: Optional[List[str]] = None
@@ -229,10 +227,7 @@ def load_csv(path, label_column=-1, header: bool = False,
             raise InvalidArgumentError(
                 "label_column by name requires header=True"
             )
-        if label_column not in names:
-            raise InvalidArgumentError(
-                f"unknown label column {label_column!r}; have {names}"
-            )
+        _check_text("label_column", label_column, names)
         label_idx = names.index(label_column)
     else:
         _check_int("label_column", label_column)
@@ -352,6 +347,7 @@ def accuracy(pred, truth: Dataset) -> float:
 
 def expand_template(template: str, h: int, q: int) -> Tuple[int, ...]:
     """Widths from a template like "h-q", "2h-h-q" or "8h-4h-2h-h-q"."""
+    _check_text("template", template)
     _check_int("h", h, 1)
     _check_int("q", q, 1)
     widths = []
@@ -377,6 +373,7 @@ def training_targets(ds: Dataset, linear_output: bool) -> np.ndarray:
     to 0.9/0.1 when the output activation must be inverted, raw otherwise.
     The encoding keeps every column of ds.y, so a subset that misses a
     class still has one target column per output unit."""
+    _check_bool("linear_output", linear_output)
     if ds.kind == "classification" and not linear_output:
         y = np.full(ds.y.shape, 0.1)
         y[np.arange(len(y)), ds.labels] = 0.9
@@ -507,8 +504,11 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     """
     if not h_grid:
         raise InvalidArgumentError("empty h grid")
-    if not templates:
-        raise InvalidArgumentError("no templates")
+    if isinstance(templates, str) or not templates:  # a str would read per character
+        raise InvalidArgumentError(
+            f"templates must be a non-empty sequence of templates, got {templates!r}")
+    for tmpl in templates:
+        _check_text("template", tmpl)
     templates = list(dict.fromkeys(templates))
     for h in h_grid:
         _check_int("h", h, 1)

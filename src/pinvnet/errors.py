@@ -1,7 +1,8 @@
 """Shared exception types, and the one check of each kind of setting: an
-int, a real number and a switch. A bad value raises InvalidArgumentError,
-a ValueError naming its field; the CLI maps it and CsvParseError to exit
-2, DomainViolationError and the other PinvnetErrors to exit 1."""
+int, a real number, a switch and text, which may have to be one of a set
+of choices. A bad value raises InvalidArgumentError, a ValueError naming
+its field; the CLI maps it and CsvParseError to exit 2,
+DomainViolationError and the other PinvnetErrors to exit 1."""
 
 import math
 import numbers
@@ -74,3 +75,11 @@ def _check_bool(name, value):
     """Raise InvalidArgumentError naming `name` unless value is a (numpy) bool."""
     if not isinstance(value, (bool, np.bool_)):
         raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
+
+
+def _check_text(name, value, choices=None):
+    """Raise InvalidArgumentError naming `name` unless value is a str and, when
+    choices are given, one of them."""
+    if not isinstance(value, str) or (choices is not None and value not in choices):
+        what = "text" if choices is None else "one of " + ", ".join(choices)
+        raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")

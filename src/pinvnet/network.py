@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .activations import ActivationKind, apply
-from .errors import InvalidArgumentError, _check_bool, _check_int
+from .errors import InvalidArgumentError, _check_bool, _check_int, _check_text
 from .linalg import Matrix, as_array
 
 __all__ = [
@@ -118,6 +118,7 @@ def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.nd
     _check_band(r)
     _check_int("in_dim", in_dim, 1)
     _check_int("width", width, 1)
+    _check_bool("biased_input", biased_input)
     data_count = in_dim - 1 if biased_input else in_dim
     if data_count < 1:
         raise InvalidArgumentError("no unbiased inputs under the band")
@@ -188,6 +189,7 @@ _TOKEN = re.compile(r"^(\d+)(?:\^r(\d+))?$")
 
 def parse_structure(text: str):
     """Parse "30-50^r3-250-6" into [(width, band_or_None), ...]."""
+    _check_text("structure", text)
     out = []
     for tok in text.strip().split("-"):
         m = _TOKEN.match(tok)

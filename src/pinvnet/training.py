@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
-from .errors import InvalidArgumentError, _check_int, _check_real
+from .errors import (InvalidArgumentError, _check_bool, _check_int, _check_real,
+                     _check_text)
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
                      as_array, sse)
 from .network import NetworkSpec, WeightSet, _input_design, default_masks
@@ -50,8 +51,7 @@ class InitScheme:
     solve_order: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in ("random", "data_matrix"):
-            raise InvalidArgumentError(f"unknown init kind {self.kind!r}")
+        _check_text("kind", self.kind, ("random", "data_matrix"))
         _check_int("seed", self.seed, 0)
         _check_real("scale_c", self.scale_c, 0, strict=True)
         if self.solve_order is not None:
@@ -118,6 +118,7 @@ def back_target(y, weights_after, activation, linear_output,
     `train`'s pull step, so a square, certified well-conditioned weight is
     pulled through by its LU inverse. The layer's own inverse is not
     applied here."""
+    _check_bool("linear_output", linear_output)
     _check_real("clamp_margin", clamp_margin, 0)
     t = as_array(y, "y")
     for idx, wj in enumerate(weights_after):
@@ -188,12 +189,15 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     carried backward with its cumulative clamp count, so each pulled
     target is inverted once, for the layer it targets and for the next
     pull step alike. Solving layer k drops the designs of the layers
-    after k and every pull-back through layer k; each missing entry is rebuilt from its neighbour with the same operations
-    in the same order as a from-scratch rebuild, so results are bit for
-    bit those of rebuilding everything per layer. The default order
-    makes 2n - 1 pseudoinverse factorizations (n - 1 placeholders, n
-    solves) instead of n(n + 1) / 2, data_matrix init makes n; masked
-    layers factorize per column. Each is an SVD, except that a square
+    after k and every pull-back through layer k; when the next layer
+    solved comes after k, layer k + 1's design is built at once from the
+    product A W_k that k's residual needs. Each missing entry is rebuilt
+    from its neighbour with the same operations in the same order as a
+    from-scratch rebuild, so results are bit for bit those of rebuilding
+    everything per layer. The default order makes 2n - 1 pseudoinverse
+    factorizations (n - 1 placeholders, n solves) instead of
+    n(n + 1) / 2, data_matrix init makes n; masked layers factorize per
+    column. Each is an SVD, except that a square
     placeholder certified well-conditioned under the default cutoff is
     pulled through by an LU inverse (`linalg._pinv_or_inverse`); designs
     always take the SVD, whose cutoff must see their singular values.
@@ -261,7 +265,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     # for a linear output
     designs = [xa]
     pulled = []
-    for k in order:
+    for pos, k in enumerate(order):
         while len(designs) < k:
             j = len(designs)
             designs.append(_apply(f, designs[-1] @ w[j]))
@@ -296,6 +300,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         residuals[k - 1] = float(np.linalg.norm(z - t))
         counts[k - 1] = clamped
         if k < n:  # only the output layer's product outlives its solve
+            if order[pos + 1] > k:  # the next solve reads layer k + 1's design
+                designs.append(_apply(f, z))
             del z
 
     # layer n was solved last: z is the output's pre-activation

@@ -419,6 +419,32 @@ def test_bad_config_values_exit_2(tmp_path, capsys, spiral_csv, argv, config,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"task": "x"}, "--task must be one of auto, classification, regression, got 'x'"),
+    ({"init": 5}, "--init must be one of random, data_matrix, got 5"),
+    ({"missing": None}, "--missing must be one of drop, mean-impute, got None"),
+    ({"activation": 5}, "--activation must be text, got 5"),
+    ({"structure": ["4-3"]}, "--structure must be text, got ['4-3']"),
+])
+def test_text_and_choice_options_name_the_flag_and_the_choices(
+        tmp_path, capsys, spiral_csv, config, message):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"structure": "4-3", **config}))
+    code, _, stderr = _run(capsys, "train", "--data", str(spiral_csv),
+                           "--config", str(cfgfile), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert json.loads(stderr)["error"] == {"type": "invalid-input", "message": message}
+    assert not (tmp_path / "run").exists()
+
+
+def test_help_shows_the_choices_of_a_choice_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--task {auto,classification,regression}" in help_text
+    assert "--init {random,data_matrix}" in help_text
+
+
 def test_cv_runs_when_a_fold_misses_a_class(tmp_path, capsys):
     # 15 rows, 5 per class, in 2 unstratified folds: some training
     # portion lacks a class

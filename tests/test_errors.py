@@ -1,8 +1,9 @@
 """Every setting that enters the library is checked by one rule per kind,
 else InvalidArgumentError names the field: a count or seed must be an int
 at or above its floor, a real setting a finite number at or above (or, for
-a strict floor, above) its floor, and a switch a bool. A bool is not a
-number, and a string is neither."""
+a strict floor, above) its floor, a switch a bool, and a text setting a
+str, one of its choices where it has them. A bool is not a number, and a
+string is neither. The last tables reach every other rejection once."""
 import math
 import re
 from pathlib import Path
@@ -10,21 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinvnet.activations import ActivationKind, invert, invert_with_count
+from pinvnet.activations import ActivationKind, invert, invert_with_count, parse_kind
 from pinvnet.analysis import VarianceConfig, solution_count
-from pinvnet.datasets import (CvPlan, Dataset, cv_search, gen_regression, gen_spiral,
-                              load_csv)
-from pinvnet.errors import DomainViolationError, InvalidArgumentError
+from pinvnet.datasets import (CvPlan, Dataset, accuracy, cv_search, encode_targets,
+                              expand_template, gen_regression, gen_spiral, load_csv,
+                              training_targets)
+from pinvnet.errors import CsvParseError, DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions
-from pinvnet.network import NetworkSpec, receptive_mask
-from pinvnet.training import InitScheme, TrainConfig, back_target
+from pinvnet.network import (NetworkSpec, WeightSet, forward, parse_structure,
+                             receptive_mask)
+from pinvnet.training import (InitScheme, TrainConfig, back_target, solve_masked_layer,
+                              train)
 
 SP = ActivationKind.softplus08()
 
 
-def _cv_search(h):
+def _cv_search(h, templates=("h-q",)):
     ds = Dataset(np.arange(12.0).reshape(6, 2), np.ones((6, 1)))
-    cv_search(ds, ["h-q"], [h], CvPlan(2, 1, 0),
+    cv_search(ds, templates, [h], CvPlan(2, 1, 0),
               TrainConfig(InitScheme.random(0)), SP)
 
 
@@ -149,10 +153,16 @@ def test_a_zero_margin_turns_clamping_off(margin):
     assert TrainConfig(InitScheme.random(0), clamp_margin=margin).clamp_margin == 0
 
 
+CLASSES = Dataset(np.zeros((2, 1)), np.eye(2), ("a", "b"), "classification")
+
 SWITCHES = {
     "CvPlan.stratified": ("stratified", lambda v: CvPlan(2, 1, 0, v)),
     "NetworkSpec.linear_output": ("linear_output", lambda v: NetworkSpec(2, (3,), SP, v)),
     "load_csv.header": ("header", lambda v: load_csv(CSV, header=v)),
+    "training_targets.linear_output": (
+        "linear_output", lambda v: training_targets(CLASSES, v)),
+    "back_target.linear_output": ("linear_output", lambda v: back_target(Y, [W], SP, v)),
+    "receptive_mask.biased_input": ("biased_input", lambda v: receptive_mask(5, 3, 3, v)),
 }
 
 
@@ -178,3 +188,132 @@ def test_load_csv_rejects_a_label_index_that_is_not_an_int(tmp_path, bad):
     with pytest.raises(InvalidArgumentError, match=r"^label_column must be an int, got "):
         load_csv(path, label_column=bad)
     assert load_csv(path, label_column=np.int64(0)).class_labels == ("x", "y")
+
+
+# (field as the message names it, its choices or None for any text, a call
+# that passes value there)
+TEXTS = {
+    "ActivationKind.variant": (
+        "variant", ("identity", "softplus", "softplus08", "exp_scaled"), ActivationKind),
+    "InitScheme.kind": ("kind", ("random", "data_matrix"), InitScheme),
+    "Dataset.kind": ("kind", ("regression", "classification"),
+                     lambda v: Dataset(np.zeros((2, 1)), np.eye(2), None, v)),
+    "load_csv.missing_policy": (
+        "missing_policy", ("drop", "mean-impute"),
+        lambda v: load_csv(CSV, missing_policy=v)),
+    "load_csv.kind": ("kind", ("classification", "regression", "auto"),
+                      lambda v: load_csv(CSV, kind=v)),
+    "parse_structure": ("structure", None, parse_structure),
+    "expand_template": ("template", None, lambda v: expand_template(v, 2, 2)),
+    "parse_kind": ("activation", None, parse_kind),
+}
+
+
+def _bad_texts(entry):
+    """Values that are not str, and for a choice a str that is none of them."""
+    bad = {"int": 5, "list": ["identity"], "none": None, "bytes": b"identity"}
+    if TEXTS[entry][1] is not None:
+        bad["unknown"] = "foo"
+    return bad
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in TEXTS for kind in _bad_texts(entry)])
+def test_text_that_is_not_a_str_or_not_a_choice_is_rejected_by_name(entry, kind):
+    field, choices, call = TEXTS[entry]
+    what = "text" if choices is None else "one of " + ", ".join(choices)
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{re.escape(field)} must be {what}, got "):
+        call(_bad_texts(entry)[kind])
+
+
+def test_a_named_label_column_must_be_a_header_name(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("f,label\n1.0,x\n2.0,y\n")
+    assert load_csv(path, "label", header=True).class_labels == ("x", "y")
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^label_column must be one of f, label, got 'g'$"):
+        load_csv(path, "g", header=True)
+
+
+@pytest.mark.parametrize("bad", ["h-q", "", [], ()])
+def test_cv_search_templates_must_be_a_non_empty_sequence(bad):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^templates must be a non-empty sequence of templates"):
+        _cv_search(2, bad)
+
+
+@pytest.mark.parametrize("bad", [["h-q"], 5, None])
+def test_each_cv_search_template_must_be_text(bad):
+    with pytest.raises(InvalidArgumentError, match=r"^template must be text, got "):
+        _cv_search(2, ["h-q", bad])
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0), (1.0,), 5, None])
+def test_an_input_range_that_is_not_a_pair_is_rejected_by_name(bad):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^input_range must be a pair lo, hi, got "):
+        VarianceConfig(input_range=bad)
+    assert VarianceConfig(input_range=np.array([-1.0, 1.0])).input_range[1] == 1.0
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    return path
+
+
+SPEC = NetworkSpec(2, (3, 2), SP)
+FULL = WeightSet([np.ones((3, 3)), np.ones((3, 2))])
+
+# (exception, message pattern, a call that must raise it): each rejection
+# of a value's shape or content that no other test reaches
+REJECTIONS = {
+    "Dataset.rows": (InvalidArgumentError, "x and y must have the same row count",
+                     lambda tmp: Dataset(np.zeros((3, 1)), np.zeros((2, 1)))),
+    "Dataset.class_labels": (
+        InvalidArgumentError, "class_labels length must equal",
+        lambda tmp: Dataset(np.zeros((2, 1)), np.eye(2), ("a",), "classification")),
+    "Dataset.labels": (InvalidArgumentError, "labels are defined for classification",
+                       lambda tmp: Dataset(np.zeros((2, 1)), np.ones((2, 1))).labels),
+    "load_csv.no_rows": (CsvParseError, "no data rows",
+                         lambda tmp: load_csv(_csv(tmp, "a,b\n"), header=True)),
+    "load_csv.header_width": (
+        CsvParseError, "header width does not match",
+        lambda tmp: load_csv(_csv(tmp, "a,b\n1,2,x\n"), header=True)),
+    "load_csv.all_dropped": (CsvParseError, "every row was dropped",
+                             lambda tmp: load_csv(_csv(tmp, "1,?\n2,?\n"))),
+    "encode_targets.empty": (InvalidArgumentError, "no labels to encode",
+                             lambda tmp: encode_targets([])),
+    "accuracy.shape": (InvalidArgumentError, r"prediction shape \(2, 3\)",
+                       lambda tmp: accuracy(np.ones((2, 3)), CLASSES)),
+    "expand_template.width": (InvalidArgumentError, r"template '0-q' expands to \[0, 2\]",
+                              lambda tmp: expand_template("0-q", 2, 2)),
+    "cv_search.template_end": (InvalidArgumentError, "must end at the target width 1",
+                               lambda tmp: _cv_search(2, ["h-3"])),
+    "forward.x_columns": (InvalidArgumentError, "x_raw has 3 columns, spec.input_dim is 2",
+                          lambda tmp: forward(SPEC, FULL, np.ones((4, 3)))),
+    "forward.layer_count": (
+        InvalidArgumentError, "weight set has 1 layers, spec has 2",
+        lambda tmp: forward(SPEC, WeightSet([np.ones((3, 3))]), np.ones((4, 2)))),
+    "receptive_mask.no_inputs": (InvalidArgumentError, "no unbiased inputs",
+                                 lambda tmp: receptive_mask(1, 3, 1, True)),
+    "solve_masked_layer.rows": (
+        InvalidArgumentError, "a and t must have the same row count",
+        lambda tmp: solve_masked_layer(np.ones((3, 2)), np.ones((2, 1)),
+                                       np.ones((2, 1), bool))),
+    "solve_masked_layer.mask": (
+        InvalidArgumentError, r"mask shape \(3, 1\) != \(2, 1\)",
+        lambda tmp: solve_masked_layer(np.ones((3, 2)), np.ones((3, 1)),
+                                       np.ones((3, 1), bool))),
+    "train.rows": (InvalidArgumentError, "x and y must have the same row count",
+                   lambda tmp: train(SPEC, np.ones((4, 2)), np.ones((3, 2)),
+                                     TrainConfig(InitScheme.random(0)))),
+}
+
+
+@pytest.mark.parametrize("entry", REJECTIONS)
+def test_every_other_rejection_raises_its_error(tmp_path, entry):
+    error, message, call = REJECTIONS[entry]
+    with pytest.raises(error, match=message):
+        call(tmp_path)

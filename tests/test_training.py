@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pinvnet.training as training_module
 from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
 from pinvnet.errors import DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
@@ -423,6 +424,21 @@ def test_cached_train_is_bit_identical_to_the_direct_algorithm(
         assert np.array_equal(got.array, want)
     assert report.per_layer_solve_residuals == residuals
     assert report.clamped_entry_counts == counts
+
+
+@pytest.mark.parametrize("order, applies", [(None, 4), ((3, 2, 1), 6), ((2, 1, 3), 5)])
+def test_train_builds_a_design_only_for_a_solve_that_reads_it(monkeypatch, order,
+                                                              applies):
+    # f is applied once per design a solve reads, plus once for the
+    # output; a design built after solving layer k is not dropped unread
+    # when the next solve is of a layer before k
+    calls = []
+    monkeypatch.setattr(training_module, "_apply",
+                        lambda f, a: calls.append(1) or apply(f, a))
+    x, y = _bit_identity_data()
+    spec = build_spec("9-7-5-2", 3, SP)
+    train(spec, x, y, TrainConfig(InitScheme.random(4, 0.7, order)))
+    assert len(calls) == applies
 
 
 def test_cached_train_raises_like_the_direct_algorithm_without_clamping():
