@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -495,16 +495,24 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     would raise (for example a domain violation with clamp_margin=0) is
     not raised.
 
+    h_grid is a non-empty sequence of ints >= 1, a 1-D integer array
+    included.
+
     The outer (trial, fold) jobs are independent and fully seeded, so
     they run in worker processes with one BLAS thread each, one per usable
     core (see parallel.map_jobs); with a single usable core they run in
-    this process. The result equals that of an in-process run under a
-    one-thread BLAS, whatever the worker count, and an error is the one
-    the in-process loop raises.
+    this process. The workers start on the first call that needs them and
+    serve the later calls of this process. The result equals that of an
+    in-process run under a one-thread BLAS, whatever the worker count, and
+    an error is the one the in-process loop raises.
     """
-    if not h_grid:
-        raise InvalidArgumentError("empty h grid")
-    if isinstance(templates, str) or not templates:  # a str would read per character
+    # text would read per character, and an array has no truth value
+    if (isinstance(h_grid, (str, bytes))
+            or not isinstance(h_grid, (abc.Sequence, np.ndarray))
+            or getattr(h_grid, "ndim", 1) != 1 or len(h_grid) == 0):
+        raise InvalidArgumentError(
+            f"h_grid must be a non-empty sequence of ints, got {h_grid!r}")
+    if isinstance(templates, str) or not templates:
         raise InvalidArgumentError(
             f"templates must be a non-empty sequence of templates, got {templates!r}")
     for tmpl in templates:

@@ -609,7 +609,8 @@ def test_hostile_config_values_end_cleanly(tmp_path, capsys, monkeypatch,
 def test_overflow_leaves_one_stderr_line_in_process_and_in_workers(
         tmp_path, capfd, monkeypatch, argv, code, message):
     # two usable cores send cv's outer folds to worker processes, whose
-    # stderr only the file-descriptor capture sees
+    # stderr only the file-descriptor capture sees; a pooled worker keeps
+    # the stderr it started with, so the test starts and ends with none
     from pinvnet import parallel
 
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
@@ -617,7 +618,11 @@ def test_overflow_leaves_one_stderr_line_in_process_and_in_workers(
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"grid": [1, 2], "folds": 2, "trials": 1, "clamp_margin": 1e308,
          "data": _tiny_csv(tmp_path).name}))
-    assert main(argv + ["--out", "run"]) == code
+    parallel._shutdown()
+    try:
+        assert main(argv + ["--out", "run"]) == code
+    finally:
+        parallel._shutdown()
     err = capfd.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert message in json.loads(err)["error"]["message"]

@@ -243,6 +243,27 @@ def test_cv_search_templates_must_be_a_non_empty_sequence(bad):
         _cv_search(2, bad)
 
 
+def _cv_search_grid(grid):
+    ds = Dataset(np.arange(12.0).reshape(6, 2), np.ones((6, 1)))
+    return cv_search(ds, ["h-q"], grid, CvPlan(2, 1, 0),
+                     TrainConfig(InitScheme.random(0)), SP)
+
+
+@pytest.mark.parametrize("bad", [5, "24", b"24", None, [], (), {2, 4},
+                                 np.array([], dtype=int), np.array(2),
+                                 np.array([[2, 4]])])
+def test_cv_search_h_grid_must_be_a_non_empty_sequence(bad):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^h_grid must be a non-empty sequence of ints, got "):
+        _cv_search_grid(bad)
+
+
+@pytest.mark.parametrize("grid", [np.array([2, 4]), np.array([4, 2], dtype=np.int32),
+                                  range(2, 5, 2)])
+def test_cv_search_h_grid_may_be_any_sequence_of_ints(grid):
+    assert _cv_search_grid(grid) == _cv_search_grid([2, 4])
+
+
 @pytest.mark.parametrize("bad", [["h-q"], 5, None])
 def test_each_cv_search_template_must_be_text(bad):
     with pytest.raises(InvalidArgumentError, match=r"^template must be text, got "):

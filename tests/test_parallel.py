@@ -1,12 +1,13 @@
 """The worker-process path of cv_search and parallel.map_jobs: the same
-results and errors as the in-process loop, the worker cap, and no worker
-left running."""
+results and errors as the in-process loop, the worker cap, workers reused
+across calls and threads, and no worker left running."""
 import io
 import operator
 import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -70,8 +71,18 @@ def test_worker_path_matches_in_process_result_at_one_blas_thread():
 
 
 @pytest.fixture()
-def spawned(monkeypatch):
-    """Two usable cores, and every worker Popen recorded."""
+def fresh_pool():
+    """No pooled worker before or after the test: a worker keeps the stderr
+    and the _spawn it started with, so fd capture and recorded spawns need
+    workers of the test's own."""
+    parallel._shutdown()
+    yield
+    parallel._shutdown()
+
+
+@pytest.fixture()
+def spawned(monkeypatch, fresh_pool):
+    """Two usable cores, an empty pool, and every worker Popen recorded."""
     procs = []
     real_spawn = parallel._spawn
 
@@ -93,6 +104,10 @@ def test_map_jobs_returns_results_in_job_order(spawned):
     assert parallel.map_jobs(operator.mul, jobs) == [
         10 * i for i in range(7)]
     assert len(spawned) == 2
+    # reused by a second call, and reaped by parallel._shutdown()
+    assert parallel.map_jobs(operator.add, jobs) == [10 + i for i in range(7)]
+    assert len(spawned) == 2
+    parallel._shutdown()
     assert _all_reaped(spawned)
 
 
@@ -164,20 +179,144 @@ def test_a_dead_worker_raises_a_pinvnet_error(spawned):
     assert _all_reaped(spawned)
 
 
+@pytest.mark.parametrize("calls", [3, 200])
+def test_calls_reuse_the_same_two_workers(spawned, calls):
+    for k in range(calls):
+        assert parallel.map_jobs(operator.mul, [(i, k) for i in range(5)]) == [
+            i * k for i in range(5)]
+    assert len(spawned) == 2
+    assert parallel._pool == spawned
+    assert all(proc.poll() is None for proc in spawned)
+
+
+def test_a_worker_killed_between_calls_is_replaced(spawned):
+    jobs = [(i, 3) for i in range(5)]
+    first = parallel.map_jobs(operator.mul, jobs)
+    spawned[0].kill()
+    spawned[0].wait(timeout=30)
+    assert parallel.map_jobs(operator.mul, jobs) == first
+    assert len(spawned) == 3
+    assert parallel._pool == [spawned[2], spawned[1]]
+
+
+def test_calls_from_two_threads_take_turns(spawned):
+    results = {}
+
+    def call(k):
+        results[k] = [parallel.map_jobs(operator.mul, [(i, k) for i in range(5)])
+                      for _ in range(20)]
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in (3, 7)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {k: [[i * k for i in range(5)]] * 20 for k in (3, 7)}
+    assert len(spawned) == 2
+
+
+# Runs cv_search, or the cli with the given arguments, on two forced cores
+# and prints the pids of the workers it leaves in the pool.
+_EXITS = """
+import sys
+from pinvnet import cli, parallel
+from pinvnet.activations import ActivationKind
+from pinvnet.datasets import CvPlan, cv_search, gen_spiral
+from pinvnet.training import InitScheme, TrainConfig
+
+parallel._usable_cores = lambda: 2
+code = 0
+if sys.argv[1:]:
+    code = cli.main(sys.argv[1:])
+else:
+    ds, _ = gen_spiral(3, 20, noise=0.2, seed=1)
+    cv_search(ds, ["h-q"], [2, 4], CvPlan(3, 1, 0),
+              TrainConfig(InitScheme.random(0, 0.5)), ActivationKind.softplus08())
+print("workers", *(proc.pid for proc in parallel._pool))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["cv", "--data", str(ROOT / "tests" / "data" / "iris_like.csv"),
+     "--grid", "1,2,3", "--folds", "3", "--trials", "1", "--out", "run"],
+], ids=["cv_search", "cli-cv"])
+def test_no_worker_outlives_its_caller(tmp_path, argv):
+    done = subprocess.run([sys.executable, "-c", _EXITS, *argv], cwd=tmp_path,
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    tag, *pids = done.stdout.splitlines()[-1].split()
+    assert tag == "workers" and len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
+
+# Forks after a call. The child waits for the parent to exit before its
+# own call, so the parent's exit is prompt only if the child let go of the
+# parent's workers at the fork.
+_FORKS = """
+import operator, os, signal
+from pinvnet import parallel
+
+signal.alarm(60)  # neither process outlives a hang by more than this
+parallel._usable_cores = lambda: 2
+jobs = [(i, 7) for i in range(4)]
+assert parallel.map_jobs(operator.mul, jobs) == [0, 7, 14, 21]
+hold_r, hold_w = os.pipe()
+if os.fork() == 0:
+    signal.alarm(60)
+    os.close(hold_w)
+    inherited = len(parallel._pool)
+    os.read(hold_r, 1)  # returns once the parent has exited
+    ok = parallel.map_jobs(operator.mul, jobs) == [0, 7, 14, 21]
+    print("child", inherited, ok, *(p.pid for p in parallel._pool), flush=True)
+    os._exit(0)
+print("parent", *(p.pid for p in parallel._pool), flush=True)
+"""
+
+
+def test_a_forked_child_starts_its_own_workers_and_the_parent_exits_promptly():
+    proc = subprocess.Popen([sys.executable, "-c", _FORKS], env=_env(),
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        parent = proc.stdout.readline().split()
+        start = time.monotonic()
+        assert proc.wait(timeout=60) == 0
+        assert time.monotonic() - start < parallel._EXIT_TIMEOUT_S
+        child = proc.stdout.read().split()  # the child's line, once it exits
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert parent[0] == "parent" and len(parent[1:]) == 2
+    assert child[:3] == ["child", "0", "True"] and len(child[3:]) == 2
+    assert not set(parent[1:]) & set(child[3:])
+
+
 class _Inbox(io.BytesIO):
     def __init__(self, worker):
         super().__init__()
         self.worker = worker
 
-    def close(self):
-        if not self.closed:
-            self.worker.run(self.getvalue())
-        super().close()
+    def flush(self):
+        if self.getvalue():
+            self.worker.serve(self.getvalue())
+            self.seek(0)
+            self.truncate()
 
 
 class _InProcessWorker:
-    """Stands in for a worker Popen: runs parallel._serve on its input
-    when the input is closed, without starting a process."""
+    """Stands in for a worker Popen: runs parallel._serve on each message
+    as its stdin is flushed, without starting a process, and exits once its
+    stdin is closed."""
 
     pid = 0
 
@@ -185,19 +324,20 @@ class _InProcessWorker:
         self.stdin = _Inbox(self)
         self.stdout = io.BytesIO()
         self.returncode = None
-        self.jobs = None
+        self.messages = []
 
-    def run(self, data):
-        self.jobs = [index for index, _ in pickle.loads(data)[1]]
+    def serve(self, data):
+        self.messages.append([index for index, _ in pickle.loads(data)[1]])
         out = io.BytesIO()
         parallel._serve(io.BytesIO(data), out)
         self.stdout = io.BytesIO(out.getvalue())
-        self.returncode = 0
 
     def poll(self):
         return self.returncode
 
-    def wait(self):
+    def wait(self, timeout=None):
+        if self.returncode is None and self.stdin.closed:
+            self.returncode = 0
         return self.returncode
 
     def kill(self):
@@ -208,8 +348,8 @@ class _InProcessWorker:
     "cores, jobs, expected",
     [(3, 10, 3), (4, 2, 2), (4, 1, 1), (1, 10, 1), (2, 0, 1)],
 )
-def test_worker_count_is_capped_by_cores_and_jobs(monkeypatch, cores, jobs,
-                                                  expected):
+def test_worker_count_is_capped_by_cores_and_jobs(monkeypatch, fresh_pool, cores,
+                                                  jobs, expected):
     started = []
 
     def fake_spawn():
@@ -223,7 +363,7 @@ def test_worker_count_is_capped_by_cores_and_jobs(monkeypatch, cores, jobs,
     assert len(started) == (0 if expected == 1 else expected)
     # jobs are dealt round-robin
     for w, worker in enumerate(started):
-        assert worker.jobs == list(range(w, jobs, expected))
+        assert worker.messages == [list(range(w, jobs, expected))]
 
 
 @pytest.mark.parametrize(
