@@ -21,7 +21,6 @@ __all__ = [
     "apply",
     "format_kind",
     "invert",
-    "invert_with_count",
     "parse_kind",
 ]
 
@@ -100,7 +99,11 @@ def parse_kind(text: str) -> ActivationKind:
 
 def apply(kind: ActivationKind, a):
     """f(a) entrywise."""
-    x = as_array(a, "activation input")
+    return _apply(kind, as_array(a, "activation input"))
+
+
+def _apply(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
+    """`apply` on a float64 array its caller already checked."""
     if kind.variant == "identity":
         return np.array(x, copy=True)
     if kind.variant == "softplus":
@@ -112,12 +115,9 @@ def apply(kind: ActivationKind, a):
     return np.exp(np.clip(kind.alpha * x, -700.0, 700.0))
 
 
-def invert_with_count(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
-    """g(y) entrywise plus the number of entries raised to the clamp floor;
-    clamp_margin must be a finite number >= 0, and 0 turns clamping off:
-    an entry at or below the bound then raises."""
-    _check_real("clamp_margin", clamp_margin, 0)
-    y = as_array(y, "inverse input")
+def _invert_with_count(kind: ActivationKind, y: np.ndarray, clamp_margin: float):
+    """`invert` on a float64 array and margin its caller already checked,
+    plus the number of entries raised to the clamp floor."""
     low = kind.lower_bound
     clamped = 0
     if math.isfinite(low):
@@ -162,7 +162,7 @@ def invert(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
     Entries below lower_bound + clamp_margin are raised to that floor
     first. Pass clamp_margin=0 to disable clamping, in which case any
     entry at or below the bound raises DomainViolationError naming its
-    position.
+    position. clamp_margin must be a finite number >= 0.
     """
-    out, _ = invert_with_count(kind, y, clamp_margin)
-    return out
+    _check_real("clamp_margin", clamp_margin, 0)
+    return _invert_with_count(kind, as_array(y, "inverse input"), clamp_margin)[0]

@@ -24,10 +24,8 @@ __all__ = [
     "gen_regression",
     "gen_spiral",
     "load_csv",
-    "encode_targets",
     "stratified_kfold",
     "accuracy",
-    "expand_template",
     "training_targets",
     "cv_search",
     "write_dataset_csv",
@@ -161,7 +159,7 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
         labels[rows] = a
     names = tuple(f"arm{a}" for a in range(arms))
     to_train = np.tile(i % 2 == 1, arms)
-    y = encode_targets([int(v) for v in labels])
+    y = _encode_targets([int(v) for v in labels])
     train_ds = Dataset(pts[to_train], y[to_train], names, "classification")
     test_ds = Dataset(pts[~to_train], y[~to_train], names, "classification")
     return train_ds, test_ds
@@ -274,7 +272,7 @@ def load_csv(path, label_column=-1, header: bool = False,
                 vals = np.where(np.isnan(vals), fill, vals)
             cols.append(vals.reshape(-1, 1))
         else:
-            cols.append(encode_targets(cells))
+            cols.append(_encode_targets(cells))
     x = np.hstack(cols)
 
     label_cells = [r[label_idx] for r in kept]
@@ -289,14 +287,13 @@ def load_csv(path, label_column=-1, header: bool = False,
                 )
             vals.append(v)
         return Dataset(x, np.array(vals).reshape(-1, 1), None, "regression")
-    y = encode_targets(label_cells)
+    y = _encode_targets(label_cells)
     return Dataset(x, y, tuple(sorted(set(label_cells))), "classification")
 
 
-def encode_targets(labels: Sequence) -> np.ndarray:
-    """One-hot 1/0 encode labels over their sorted distinct values."""
-    if len(labels) == 0:
-        raise InvalidArgumentError("no labels to encode")
+def _encode_targets(labels: Sequence) -> np.ndarray:
+    """One-hot 1/0 encode labels over their sorted distinct values; the
+    callers never pass zero labels."""
     classes = sorted(set(labels))
     lookup = {c: j for j, c in enumerate(classes)}
     y = np.zeros((len(labels), len(classes)))
@@ -345,11 +342,10 @@ def accuracy(pred, truth: Dataset) -> float:
     return float(np.mean(p.argmax(axis=1) == truth.labels))
 
 
-def expand_template(template: str, h: int, q: int) -> Tuple[int, ...]:
-    """Widths from a template like "h-q", "2h-h-q" or "8h-4h-2h-h-q"."""
-    _check_text("template", template)
-    _check_int("h", h, 1)
-    _check_int("q", q, 1)
+def _expand_template(template: str, h: int, q: int) -> Tuple[int, ...]:
+    """Widths from a template like "h-q", "2h-h-q" or "8h-4h-2h-h-q";
+    `cv_search` has checked the template text and h, and q is a column
+    count."""
     widths = []
     for tok in template.strip().split("-"):
         t = tok.strip()
@@ -394,7 +390,7 @@ class CvResult:
 def _spec_for(ds: Dataset, template: str, h: int,
               activation: ActivationKind, linear_output: bool) -> NetworkSpec:
     q = ds.y.shape[1]
-    widths = expand_template(template, h, q)
+    widths = _expand_template(template, h, q)
     if widths[-1] != q:
         raise InvalidArgumentError(
             f"template {template!r} must end at the target width {q}"
@@ -472,6 +468,17 @@ def _outer_fold(ds: Dataset, candidates, plan: CvPlan, cfg: TrainConfig,
     return (tmpl, h), _fit_score(fold, spec, cfg)
 
 
+def _check_sequence(name, value, what):
+    """Raise InvalidArgumentError naming `name` unless value is a non-empty
+    sequence or 1-D array: not text, which would read per character, and
+    not a set, whose order the tie-break would read."""
+    if (isinstance(value, (str, bytes))
+            or not isinstance(value, (abc.Sequence, np.ndarray))
+            or getattr(value, "ndim", 1) != 1 or len(value) == 0):
+        raise InvalidArgumentError(
+            f"{name} must be a non-empty sequence of {what}, got {value!r}")
+
+
 def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
               plan: CvPlan, cfg: TrainConfig, activation: ActivationKind,
               linear_output: bool = False) -> CvResult:
@@ -495,8 +502,8 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     would raise (for example a domain violation with clamp_margin=0) is
     not raised.
 
-    h_grid is a non-empty sequence of ints >= 1, a 1-D integer array
-    included.
+    h_grid is a non-empty sequence of ints >= 1 and templates a non-empty
+    sequence of str, a 1-D array of either included.
 
     The outer (trial, fold) jobs are independent and fully seeded, so
     they run in worker processes with one BLAS thread each, one per usable
@@ -506,18 +513,11 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     in-process run under a one-thread BLAS, whatever the worker count, and
     an error is the one the in-process loop raises.
     """
-    # text would read per character, and an array has no truth value
-    if (isinstance(h_grid, (str, bytes))
-            or not isinstance(h_grid, (abc.Sequence, np.ndarray))
-            or getattr(h_grid, "ndim", 1) != 1 or len(h_grid) == 0):
-        raise InvalidArgumentError(
-            f"h_grid must be a non-empty sequence of ints, got {h_grid!r}")
-    if isinstance(templates, str) or not templates:
-        raise InvalidArgumentError(
-            f"templates must be a non-empty sequence of templates, got {templates!r}")
+    _check_sequence("h_grid", h_grid, "ints")
+    _check_sequence("templates", templates, "templates")
     for tmpl in templates:
         _check_text("template", tmpl)
-    templates = list(dict.fromkeys(templates))
+    templates = list(dict.fromkeys(map(str, templates)))
     for h in h_grid:
         _check_int("h", h, 1)
     # candidate order doubles as the tie-break: smaller h, earlier template

@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, _check_real
 
-EPS = float(np.finfo(np.float64).eps)
+_EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
-    "EPS",
     "Matrix",
     "PinvOptions",
     "pinv",
@@ -33,8 +32,8 @@ class Matrix:
 
     Every other function takes and returns plain ndarrays. The class
     remains only because the benchmark reads `.array` on those two
-    results; it goes with ROADMAP item 6, which waits on the benchmark
-    change of item 1. The constructor validates through `as_array`, with
+    results; it goes with ROADMAP item 4, which waits on the benchmark
+    change of item 1b. The constructor validates through `as_array`, with
     `name` in its errors, and keeps a read-only C-ordered copy.
     """
 
@@ -123,7 +122,7 @@ def _pinv_or_inverse(a: np.ndarray, opts: PinvOptions) -> np.ndarray:
         with np.errstate(over="ignore"):
             k1, kinf = (float(np.linalg.norm(a, p) * np.linalg.norm(x, p))
                         for p in (1, np.inf))
-        if np.isfinite(x).all() and n * EPS * math.sqrt(k1 * kinf) < 0.5:
+        if np.isfinite(x).all() and n * _EPS * math.sqrt(k1 * kinf) < 0.5:
             return x
     return _pinv_array(a, opts)
 
@@ -134,7 +133,7 @@ def _truncated_pinv(u, s, vt, opts: PinvOptions):
     1/s bit for bit at ridge 0. U_r is an orthonormal basis of the kept
     range, so A A^dagger = U_r U_r^T when ridge is 0."""
     size = np.abs(s)
-    tol = (max(u.shape[0], vt.shape[1]) * EPS * size.max()
+    tol = (max(u.shape[0], vt.shape[1]) * _EPS * size.max()
            if opts.tolerance is None else opts.tolerance)
     keep = size > tol
     with np.errstate(over="ignore"):  # ridge/s = inf damps that s to 0, its limit

@@ -19,9 +19,6 @@ from .linalg import Matrix, as_array
 __all__ = [
     "NetworkSpec",
     "WeightSet",
-    "augment",
-    "receptive_mask",
-    "default_masks",
     "forward",
     "hidden_activation",
     "parse_structure",
@@ -56,7 +53,9 @@ class NetworkSpec:
         for k, (width, r) in enumerate(zip(widths, bands), start=1):
             _check_int(f"layer {k} width", width, 1)
             if r is not None:
-                _check_band(r)
+                _check_int("receptive field", r, 1)
+                if r % 2 == 0:
+                    raise InvalidArgumentError(f"receptive field must be odd, got {r}")
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "receptive_fields", bands)
 
@@ -84,44 +83,27 @@ class WeightSet:
         return len(self.weights)
 
 
-def augment(x, name="augment input"):
-    """Prepend a column of ones: m x d -> m x (d+1); errors name `name`."""
-    arr = as_array(x, name)
-    return np.hstack([np.ones((arr.shape[0], 1)), arr])
-
-
 def _input_design(spec: NetworkSpec, x_raw):
-    """augment(x_raw), validated once and checked against spec.input_dim."""
-    a = augment(x_raw, "x_raw")
-    if a.shape[1] - 1 != spec.input_dim:
+    """x_raw, validated once and checked against spec.input_dim, with a
+    leading column of ones: m x d -> m x (d+1)."""
+    x = as_array(x_raw, "x_raw")
+    if x.shape[1] != spec.input_dim:
         raise InvalidArgumentError(
-            f"x_raw has {a.shape[1] - 1} columns, spec.input_dim is {spec.input_dim}")
-    return a
+            f"x_raw has {x.shape[1]} columns, spec.input_dim is {spec.input_dim}")
+    return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def _check_band(r):
-    """Raise InvalidArgumentError unless r is an odd int >= 1."""
-    _check_int("receptive field", r, 1)
-    if r % 2 == 0:
-        raise InvalidArgumentError(f"receptive field must be odd, got {r}")
-
-
-def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.ndarray:
+def _receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.ndarray:
     """Boolean in_dim x width band mask.
 
     Column centers are spaced linearly over the unbiased input indices; each
     column keeps a window of r consecutive rows around its center, shifted
     (not shortened) where it would run past either edge, so the bias row is
     covered only by windows that reach the top. r larger than the unbiased
-    input count degenerates to a full (all-true) mask.
+    input count degenerates to a full (all-true) mask. The arguments come
+    from a NetworkSpec, which has checked them.
     """
-    _check_band(r)
-    _check_int("in_dim", in_dim, 1)
-    _check_int("width", width, 1)
-    _check_bool("biased_input", biased_input)
     data_count = in_dim - 1 if biased_input else in_dim
-    if data_count < 1:
-        raise InvalidArgumentError("no unbiased inputs under the band")
     if r > data_count:
         mask = np.ones((in_dim, width), dtype=bool)
         mask.setflags(write=False)
@@ -139,11 +121,11 @@ def receptive_mask(in_dim: int, width: int, r: int, biased_input: bool) -> np.nd
     return mask
 
 
-def default_masks(spec: NetworkSpec):
+def _default_masks(spec: NetworkSpec):
     """Per-layer masks implied by banded receptive fields (None when full)."""
     return [
         None if r is None
-        else receptive_mask(spec.in_dims[k], spec.widths[k], r, biased_input=(k == 0))
+        else _receptive_mask(spec.in_dims[k], spec.widths[k], r, biased_input=(k == 0))
         for k, r in enumerate(spec.receptive_fields)
     ]
 

@@ -17,18 +17,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .activations import _DEFAULT_MARGIN, apply as _apply, invert_with_count
-from .errors import (InvalidArgumentError, _check_bool, _check_int, _check_real,
-                     _check_text)
+from .activations import _DEFAULT_MARGIN, _apply, _invert_with_count
+from .errors import InvalidArgumentError, _check_int, _check_real, _check_text
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
                      as_array, sse)
-from .network import NetworkSpec, WeightSet, _input_design, default_masks
+from .network import NetworkSpec, WeightSet, _default_masks, _input_design
 
 __all__ = [
     "InitScheme",
     "TrainConfig",
     "TrainReport",
-    "back_target",
     "train",
 ]
 
@@ -93,7 +91,8 @@ class TrainReport:
 
 def _check_finite(a, f, margin, what):
     """a, or InvalidArgumentError naming `what`, the clamp floor and
-    clamp_margin, whose large values overflow targets and weights."""
+    clamp_margin, whose large values overflow targets, weights and the
+    products of designs and weights."""
     if not np.isfinite(a).all():
         raise InvalidArgumentError(
             f"{what} is not finite (clamp floor {f.lower_bound + margin!r} "
@@ -108,26 +107,6 @@ def _pull_step(t, wj, f, margin, opts, what):
     (`linalg._pinv_or_inverse`). Raises if the product is not finite,
     naming `what` and clamp_margin."""
     return _check_finite(t @ _pinv_or_inverse(wj, opts), f, margin, what)
-
-
-def back_target(y, weights_after, activation, linear_output,
-                clamp_margin=_DEFAULT_MARGIN, pinv_opts=_DEFAULT_OPTS) -> np.ndarray:
-    """Back-propagated target for a layer, given the downstream weights in
-    output-to-inner order and the network's activation: each step takes
-    the functional inverse (skipped before a linear output layer) and then
-    `train`'s pull step, so a square, certified well-conditioned weight is
-    pulled through by its LU inverse. The layer's own inverse is not
-    applied here."""
-    _check_bool("linear_output", linear_output)
-    _check_real("clamp_margin", clamp_margin, 0)
-    t = as_array(y, "y")
-    for idx, wj in enumerate(weights_after):
-        wj = as_array(wj, "weights_after")
-        if not (idx == 0 and linear_output):
-            t, _ = invert_with_count(activation, t, clamp_margin)
-        t = _pull_step(t, wj, activation, clamp_margin, pinv_opts,
-                       f"target pulled back through weights_after[{idx}]")
-    return t
 
 
 def solve_masked_layer(a, t, mask, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
@@ -179,9 +158,9 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     solves in order; each hidden layer k < n targets I, so W_k = A^+ I
     (hidden widths must equal the sample count; the residual reported is
     ||A W_k - I||), and the output layer targets the data. A pull-back
-    step, here as in `back_target`, and a layer's solve raise
+    step, a layer's solve and a layer's pre-activation raise
     InvalidArgumentError naming the layer and clamp_margin when the
-    target or the weight they produce is not finite.
+    target, the weight or the product they produce is not finite.
 
     Two prefix caches keep each factorization to one: the design of
     every layer up to the next one solved, carried forward from aug(x),
@@ -219,7 +198,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     n = spec.n_layers
     m = xa.shape[0]
     f = spec.activation
-    masks = default_masks(spec)
+    masks = _default_masks(spec)
     opts = cfg.pinv_opts
     margin = cfg.clamp_margin
 
@@ -240,6 +219,11 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             )
 
     rng = np.random.default_rng(cfg.init.seed)
+
+    def activate(z, k):
+        # f of layer k's pre-activation, which a product of finite
+        # matrices can still overflow
+        return _apply(f, _check_finite(z, f, margin, f"pre-activation of layer {k}"))
 
     def draw(k):
         shape = (spec.in_dims[k - 1], spec.widths[k - 1])
@@ -268,7 +252,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     for pos, k in enumerate(order):
         while len(designs) < k:
             j = len(designs)
-            designs.append(_apply(f, designs[-1] @ w[j]))
+            designs.append(activate(designs[-1] @ w[j], j))
         a = designs[k - 1]
         if data_matrix and k < n:
             # a data_matrix hidden layer targets I, so W_k = A^+ I = A^+
@@ -283,7 +267,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
                     t = _pull_step(t, w[n + 1 - i], f, margin, opts,
                                    f"back-chained target for layer {n - i}")
                 if not (i == 0 and spec.linear_output):
-                    t, c = invert_with_count(f, t, margin)
+                    t, c = _invert_with_count(f, t, margin)
                     clamped += c
                 pulled.append((t, clamped))
             t, clamped = pulled[n - k]
@@ -301,11 +285,11 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         counts[k - 1] = clamped
         if k < n:  # only the output layer's product outlives its solve
             if order[pos + 1] > k:  # the next solve reads layer k + 1's design
-                designs.append(_apply(f, z))
+                designs.append(activate(z, k))
             del z
 
     # layer n was solved last: z is the output's pre-activation
-    out = z if spec.linear_output else _apply(f, z)
+    out = z if spec.linear_output else activate(z, n)
     return TrainReport(
         weights=WeightSet(w[1:]),
         train_sse=sse(out, yarr),

@@ -3,10 +3,10 @@ import pytest
 
 from pinvnet.activations import (
     ActivationKind,
+    _invert_with_count,
     apply,
     format_kind,
     invert,
-    invert_with_count,
     parse_kind,
 )
 from pinvnet.errors import DomainViolationError, InvalidArgumentError
@@ -65,7 +65,7 @@ def test_large_y_inverse_branches_agree_with_reference_formula():
 def test_clamp_counts_entries_below_floor():
     sp = ActivationKind.softplus08()
     y = np.array([[np.log(0.8) - 0.5, 1.0, np.log(0.8) + 1e-12]])
-    out, count = invert_with_count(sp, y, clamp_margin=1e-9)
+    out, count = _invert_with_count(sp, y, clamp_margin=1e-9)
     assert count == 2
     floor = np.log(0.8) + 1e-9
     expected = invert(sp, np.array([[floor]]))[0, 0]
@@ -77,21 +77,21 @@ def test_clamp_disabled_raises_with_offender_position():
     sp = ActivationKind.softplus08()
     y = np.array([[1.0, np.log(0.8) - 0.2]])
     with pytest.raises(DomainViolationError) as err:
-        invert_with_count(sp, y, clamp_margin=0)
+        invert(sp, y, clamp_margin=0)
     assert err.value.position == (0, 1)
     with pytest.raises(DomainViolationError):
-        invert_with_count(sp, y, clamp_margin=0.0)
+        invert(sp, y, clamp_margin=0.0)
 
 
 def test_exp_scaled_clamps_at_zero_boundary():
     ex = ActivationKind.exp_scaled(1e-2)
-    out, count = invert_with_count(ex, np.array([[0.0]]), clamp_margin=1e-9)
+    out, count = _invert_with_count(ex, np.array([[0.0]]), clamp_margin=1e-9)
     assert count == 1
     assert out[0, 0] == pytest.approx(np.log(1e-9) / 1e-2)
 
 
 def test_identity_never_clamps():
-    out, count = invert_with_count(
+    out, count = _invert_with_count(
         ActivationKind.identity(), np.array([[-1e300]]), clamp_margin=1e-9
     )
     assert count == 0 and out[0, 0] == -1e300

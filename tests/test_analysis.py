@@ -18,7 +18,7 @@ from pinvnet.analysis import (
     write_variance_csv,
 )
 from pinvnet.errors import InvalidArgumentError
-from pinvnet.linalg import EPS, penrose_residual, pinv
+from pinvnet.linalg import _EPS, penrose_residual, pinv
 
 
 def _chain(x, activation, max_depth):
@@ -131,7 +131,7 @@ def test_mc_output_variance_factorizes_each_depth_once(monkeypatch):
             log.append("f(I)")
         else:
             size = np.abs(lam)
-            full = bool((size > a.shape[0] * EPS * size.max()).all())
+            full = bool((size > a.shape[0] * _EPS * size.max()).all())
             log.append("full" if full else "deficient")
         return lam, v
 

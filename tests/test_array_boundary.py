@@ -4,30 +4,24 @@ are Matrix, the type the benchmark reads `.array` on."""
 import numpy as np
 import pytest
 
-from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
+from pinvnet.activations import ActivationKind, apply, invert
 from pinvnet.datasets import (
     Dataset,
-    encode_targets,
+    _encode_targets,
     gen_regression,
     gen_spiral,
     load_csv,
     training_targets,
 )
 from pinvnet.linalg import Matrix, pinv
-from pinvnet.network import WeightSet, augment, build_spec, forward, hidden_activation
-from pinvnet.training import (
-    InitScheme,
-    TrainConfig,
-    back_target,
-    solve_masked_layer,
-    train,
-)
+from pinvnet.network import WeightSet, build_spec, forward, hidden_activation
+from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
 
 SP = ActivationKind.softplus08()
 A = np.random.default_rng(0).uniform(-1, 1, (6, 3))
 Y = np.random.default_rng(1).uniform(0.2, 1.5, (6, 2))
 SPEC = build_spec("5-4^r3-2", 2, SP)
-CLASSES = Dataset(A[:, :2], encode_targets([0, 1, 0, 1, 1, 0]), ("a", "b"),
+CLASSES = Dataset(A[:, :2], _encode_targets([0, 1, 0, 1, 1, 0]), ("a", "b"),
                   "classification")
 
 
@@ -45,15 +39,10 @@ CASES = {
     "pinv": lambda tmp_path: [pinv(Matrix(A))],
     "apply": lambda tmp_path: [apply(SP, Matrix(A))],
     "invert": lambda tmp_path: [invert(SP, Matrix(Y))],
-    "invert_with_count": lambda tmp_path: [invert_with_count(SP, Matrix(Y))[0]],
-    "augment": lambda tmp_path: [augment(Matrix(A))],
     "hidden_activation": lambda tmp_path: [
         hidden_activation(SPEC, _weights(), A[:, :2], k) for k in (0, 2)],
-    "back_target": lambda tmp_path: [
-        back_target(Matrix(Y), [Matrix(np.eye(2))], SP, False)],
     "solve_masked_layer": lambda tmp_path: [
         solve_masked_layer(Matrix(A), Y, np.eye(3, 2, dtype=bool))],
-    "encode_targets": lambda tmp_path: [encode_targets(["x", "y", "x"])],
     "training_targets": lambda tmp_path: [
         training_targets(CLASSES, False), training_targets(CLASSES, True)],
     "Dataset": lambda tmp_path: [Dataset(Matrix(A), Y.tolist())],

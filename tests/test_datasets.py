@@ -12,10 +12,10 @@ from pinvnet.datasets import (
     CvPlan,
     CvResult,
     Dataset,
+    _encode_targets,
+    _expand_template,
     accuracy,
     cv_search,
-    encode_targets,
-    expand_template,
     gen_regression,
     gen_spiral,
     load_csv,
@@ -198,14 +198,14 @@ def test_load_csv_regression_targets_parse_as_floats(tmp_path):
 
 
 def test_encode_targets_sorted_classes_and_soft_scheme():
-    hard = encode_targets(["b", "a", "b"])
+    hard = _encode_targets(["b", "a", "b"])
     assert np.array_equal(hard, [[0, 1], [1, 0], [0, 1]])
 
 
 def test_stratified_kfold_staggers_small_classes_across_folds():
     # classes of size 5, 3 and 2 in 5 folds: the size-5 class lands once
     # per fold, the smaller classes spread over consecutive folds
-    y = encode_targets([0] * 5 + [1] * 3 + [2] * 2)
+    y = _encode_targets([0] * 5 + [1] * 3 + [2] * 2)
     x = np.arange(20.0).reshape(10, 2)
     ds = Dataset(x, y, ("c0", "c1", "c2"), "classification")
     folds = stratified_kfold(ds, CvPlan(folds=5, trials=1, seed=0))
@@ -227,7 +227,7 @@ def test_stratified_kfold_staggers_small_classes_across_folds():
 
 
 def test_stratified_kfold_rejects_more_folds_than_samples():
-    y = encode_targets([0, 1])
+    y = _encode_targets([0, 1])
     ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
     with pytest.raises(InvalidArgumentError):
         stratified_kfold(ds, CvPlan(folds=3, trials=1))
@@ -260,31 +260,25 @@ def test_unstratified_fold_sizes_differ_by_at_most_one():
     ("30-50-q", 7, 6, (30, 50, 6)),
 ])
 def test_expand_template(template, h, q, widths):
-    assert expand_template(template, h, q) == widths
+    assert _expand_template(template, h, q) == widths
 
 
 def test_expand_template_rejects_junk():
     with pytest.raises(InvalidArgumentError):
-        expand_template("h-qq", 2, 3)
+        _expand_template("h-qq", 2, 3)
     with pytest.raises(InvalidArgumentError):
-        expand_template("", 2, 3)
-
-
-@pytest.mark.parametrize("h,q", [(2.5, 1), (2, 1.0), (True, 1), (2, False), (0, 1)])
-def test_expand_template_rejects_a_width_that_is_not_an_int_ge_1(h, q):
-    with pytest.raises(InvalidArgumentError, match="h must|q must"):
-        expand_template("h-q", h, q)
+        _expand_template("", 2, 3)
 
 
 def test_training_targets_soften_labels_for_invertible_outputs():
-    y = encode_targets([0, 1])
+    y = _encode_targets([0, 1])
     ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
     soft = training_targets(ds, linear_output=False)
     assert np.array_equal(soft, [[0.9, 0.1], [0.1, 0.9]])
     raw = training_targets(ds, linear_output=True)
     assert np.array_equal(raw, y)
     # a subset without class "a" keeps both columns
-    part = Dataset(np.eye(3), encode_targets([0, 1, 2]), None,
+    part = Dataset(np.eye(3), _encode_targets([0, 1, 2]), None,
                    "classification").subset([1, 2])
     assert np.array_equal(training_targets(part, linear_output=False),
                           [[0.1, 0.9, 0.1], [0.1, 0.1, 0.9]])
@@ -296,7 +290,7 @@ def test_cv_search_runs_when_a_training_portion_misses_a_class(monkeypatch):
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
     rng = np.random.default_rng(0)
     ds = Dataset(rng.standard_normal((13, 2)),
-                 encode_targets([0] * 6 + [1] * 6 + [2]), None,
+                 _encode_targets([0] * 6 + [1] * 6 + [2]), None,
                  "classification")
     plan = CvPlan(folds=3, trials=1, seed=0, stratified=True)
     result = cv_search(ds, ["h-q"], [2], plan,
@@ -306,7 +300,7 @@ def test_cv_search_runs_when_a_training_portion_misses_a_class(monkeypatch):
 
 
 def test_accuracy_counts_argmax_matches():
-    y = encode_targets([0, 1, 1])
+    y = _encode_targets([0, 1, 1])
     ds = Dataset(np.eye(3)[:, :2] * 1.0, y, ("a", "b"),
                  "classification")
     pred = np.array([[0.8, 0.2], [0.6, 0.4], [0.1, 0.9]])
@@ -348,7 +342,7 @@ def _reference_cv_search(ds, templates, h_grid, plan, cfg, activation,
     q = ds.y.shape[1]
 
     def fit_score(tr, te, tmpl, h):
-        widths = expand_template(tmpl, h, q)
+        widths = _expand_template(tmpl, h, q)
         spec = build_spec("-".join(map(str, widths)), ds.x.shape[1], activation,
                           linear_output)
         report = train(spec, tr.x, training_targets(tr, linear_output), cfg)

@@ -11,25 +11,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinvnet.activations import ActivationKind, invert, invert_with_count, parse_kind
+from pinvnet.activations import ActivationKind, invert, parse_kind
 from pinvnet.analysis import VarianceConfig, solution_count
-from pinvnet.datasets import (CvPlan, Dataset, accuracy, cv_search, encode_targets,
-                              expand_template, gen_regression, gen_spiral, load_csv,
-                              training_targets)
+from pinvnet.datasets import (CvPlan, Dataset, accuracy, cv_search, gen_regression,
+                              gen_spiral, load_csv, training_targets)
 from pinvnet.errors import CsvParseError, DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions
-from pinvnet.network import (NetworkSpec, WeightSet, forward, parse_structure,
-                             receptive_mask)
-from pinvnet.training import (InitScheme, TrainConfig, back_target, solve_masked_layer,
-                              train)
+from pinvnet.network import NetworkSpec, WeightSet, forward, parse_structure
+from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
 
 SP = ActivationKind.softplus08()
 
 
 def _cv_search(h, templates=("h-q",)):
     ds = Dataset(np.arange(12.0).reshape(6, 2), np.ones((6, 1)))
-    cv_search(ds, templates, [h], CvPlan(2, 1, 0),
-              TrainConfig(InitScheme.random(0)), SP)
+    return cv_search(ds, templates, [h], CvPlan(2, 1, 0),
+                     TrainConfig(InitScheme.random(0)), SP)
 
 
 # (field as the message names it, its floor, a call that passes value there)
@@ -48,9 +45,6 @@ ENTRIES = {
     "NetworkSpec.receptive_fields": (
         "receptive field", 1,
         lambda v: NetworkSpec(2, (3,), SP, receptive_fields=(v,))),
-    "receptive_mask.r": ("receptive field", 1, lambda v: receptive_mask(5, 3, v, False)),
-    "receptive_mask.in_dim": ("in_dim", 1, lambda v: receptive_mask(v, 3, 3, False)),
-    "receptive_mask.width": ("width", 1, lambda v: receptive_mask(5, v, 3, False)),
     "gen_spiral.arms": ("arms", 1, lambda v: gen_spiral(v, 4)),
     "gen_spiral.per_arm": ("per_arm", 2, lambda v: gen_spiral(2, v)),
     "gen_spiral.seed": ("seed", 0, lambda v: gen_spiral(2, 4, seed=v)),
@@ -78,7 +72,6 @@ def test_numpy_integers_pass_the_check():
 
 
 Y = np.array([[0.5, 1.0]])
-W = np.eye(2)
 CSV = Path(__file__).parent / "data" / "iris_like.csv"
 
 # (field as the message names it, its floor or None, strict, a call that
@@ -101,10 +94,6 @@ REALS = {
     "gen_regression.noise_frac": ("noise_frac", 0, False, lambda v: gen_regression(1, v)),
     "gen_spiral.noise": ("noise", None, False, lambda v: gen_spiral(2, 4, v)),
     "invert.clamp_margin": ("clamp_margin", 0, False, lambda v: invert(SP, Y, v)),
-    "invert_with_count.clamp_margin": (
-        "clamp_margin", 0, False, lambda v: invert_with_count(SP, Y, v)),
-    "back_target.clamp_margin": (
-        "clamp_margin", 0, False, lambda v: back_target(Y, [W], SP, True, v)),
 }
 BAD_REALS = {"bool": True, "string": "0.5", "nan": math.nan, "inf": math.inf,
              "minus_inf": -math.inf, "huge_int": 10 ** 400}
@@ -149,7 +138,8 @@ def test_a_zero_margin_turns_clamping_off(margin):
     with pytest.raises(DomainViolationError):
         invert(SP, below, margin)
     with pytest.raises(DomainViolationError):
-        back_target(below, [np.eye(3)], SP, False, margin)
+        train(NetworkSpec(1, (3, 3), SP), np.ones((1, 1)), below,
+              TrainConfig(InitScheme.random(0), clamp_margin=margin))
     assert TrainConfig(InitScheme.random(0), clamp_margin=margin).clamp_margin == 0
 
 
@@ -161,8 +151,6 @@ SWITCHES = {
     "load_csv.header": ("header", lambda v: load_csv(CSV, header=v)),
     "training_targets.linear_output": (
         "linear_output", lambda v: training_targets(CLASSES, v)),
-    "back_target.linear_output": ("linear_output", lambda v: back_target(Y, [W], SP, v)),
-    "receptive_mask.biased_input": ("biased_input", lambda v: receptive_mask(5, 3, 3, v)),
 }
 
 
@@ -204,7 +192,6 @@ TEXTS = {
     "load_csv.kind": ("kind", ("classification", "regression", "auto"),
                       lambda v: load_csv(CSV, kind=v)),
     "parse_structure": ("structure", None, parse_structure),
-    "expand_template": ("template", None, lambda v: expand_template(v, 2, 2)),
     "parse_kind": ("activation", None, parse_kind),
 }
 
@@ -236,11 +223,22 @@ def test_a_named_label_column_must_be_a_header_name(tmp_path):
         load_csv(path, "g", header=True)
 
 
-@pytest.mark.parametrize("bad", ["h-q", "", [], ()])
+# a set or dict would let the tie-break read hash order
+@pytest.mark.parametrize("bad", ["h-q", "", [], (), pytest.param(b"h-q", id="bytes"),
+                                 None, {"h-q"}, frozenset({"h-q"}), {"h-q": 1},
+                                 np.array([], dtype=str), np.array("h-q"),
+                                 np.array([["h-q"]])])
 def test_cv_search_templates_must_be_a_non_empty_sequence(bad):
     with pytest.raises(InvalidArgumentError,
-                       match=r"^templates must be a non-empty sequence of templates"):
+                       match=r"^templates must be a non-empty sequence of templates, got "):
         _cv_search(2, bad)
+
+
+@pytest.mark.parametrize("templates", [np.array(["h-q", "2h-h-q"]), ("h-q", "2h-h-q")])
+def test_cv_search_templates_may_be_any_sequence_of_str(templates):
+    got = _cv_search(2, templates)
+    assert got == _cv_search(2, ["h-q", "2h-h-q"])
+    assert type(got.template) is str
 
 
 def _cv_search_grid(grid):
@@ -304,12 +302,10 @@ REJECTIONS = {
         lambda tmp: load_csv(_csv(tmp, "a,b\n1,2,x\n"), header=True)),
     "load_csv.all_dropped": (CsvParseError, "every row was dropped",
                              lambda tmp: load_csv(_csv(tmp, "1,?\n2,?\n"))),
-    "encode_targets.empty": (InvalidArgumentError, "no labels to encode",
-                             lambda tmp: encode_targets([])),
     "accuracy.shape": (InvalidArgumentError, r"prediction shape \(2, 3\)",
                        lambda tmp: accuracy(np.ones((2, 3)), CLASSES)),
-    "expand_template.width": (InvalidArgumentError, r"template '0-q' expands to \[0, 2\]",
-                              lambda tmp: expand_template("0-q", 2, 2)),
+    "cv_search.template_width": (InvalidArgumentError, r"template '0-q' expands to \[0, 1\]",
+                                 lambda tmp: _cv_search(2, ["0-q"])),
     "cv_search.template_end": (InvalidArgumentError, "must end at the target width 1",
                                lambda tmp: _cv_search(2, ["h-3"])),
     "forward.x_columns": (InvalidArgumentError, "x_raw has 3 columns, spec.input_dim is 2",
@@ -317,8 +313,6 @@ REJECTIONS = {
     "forward.layer_count": (
         InvalidArgumentError, "weight set has 1 layers, spec has 2",
         lambda tmp: forward(SPEC, WeightSet([np.ones((3, 3))]), np.ones((4, 2)))),
-    "receptive_mask.no_inputs": (InvalidArgumentError, "no unbiased inputs",
-                                 lambda tmp: receptive_mask(1, 3, 1, True)),
     "solve_masked_layer.rows": (
         InvalidArgumentError, "a and t must have the same row count",
         lambda tmp: solve_masked_layer(np.ones((3, 2)), np.ones((2, 1)),

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pinvnet.analysis import VarianceReport, write_variance_csv
-from pinvnet.datasets import Dataset, encode_targets, write_dataset_csv
+from pinvnet.datasets import Dataset, _encode_targets, write_dataset_csv
 from pinvnet.errors import InvalidArgumentError
 from pinvnet.linalg import (
-    EPS,
     Matrix,
     PinvOptions,
+    _EPS,
     _pinv_array,
     _pinv_or_inverse,
     penrose_residual,
@@ -169,7 +169,7 @@ def test_certified_square_inverse_agrees_with_pinv(n, monkeypatch):
     assert calls == []  # the LU inverse, not the SVD
     want = pinv(a)
     err = np.linalg.norm(got - want) / np.linalg.norm(want)
-    assert err <= n * EPS * _cond_bound(a, got)
+    assert err <= n * _EPS * _cond_bound(a, got)
 
 
 def test_one_by_one_inverse_equals_the_svd_path_bit_for_bit():
@@ -288,7 +288,7 @@ def test_csv_bytes_match_the_reference_row_loop(tmp_path):
 def test_dataset_and_variance_csv_bytes_match_the_reference_row_loop(tmp_path):
     x = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [3.0, -2.5]])
     names = ("größe", "naïve")
-    ds = Dataset(x, encode_targets([1, 0, 1]), names, "classification")
+    ds = Dataset(x, _encode_targets([1, 0, 1]), names, "classification")
     path = tmp_path / "d.csv"
     write_dataset_csv(ds, path)
     assert path.read_bytes() == _reference_rows(x, ["naïve", "größe", "naïve"])
@@ -302,4 +302,4 @@ def test_dataset_and_variance_csv_bytes_match_the_reference_row_loop(tmp_path):
 
 
 def test_eps_is_float64_machine_epsilon():
-    assert EPS == np.finfo(np.float64).eps
+    assert _EPS == np.finfo(np.float64).eps

@@ -6,13 +6,13 @@ from pinvnet.errors import InvalidArgumentError
 from pinvnet.network import (
     NetworkSpec,
     WeightSet,
-    augment,
+    _default_masks,
+    _input_design,
+    _receptive_mask,
     build_spec,
-    default_masks,
     forward,
     hidden_activation,
     parse_structure,
-    receptive_mask,
 )
 
 SP = ActivationKind.softplus08()
@@ -23,15 +23,19 @@ def _spec(widths, input_dim, activation=ID, linear_output=True):
     return NetworkSpec(input_dim, widths, activation, linear_output)
 
 
+def _augment(x):
+    return np.hstack([np.ones((len(x), 1)), x])
+
+
 def test_augment_prepends_a_ones_column():
-    a = augment(np.array([[2.0, 3.0], [4.0, 5.0]]))
+    a = _input_design(_spec([1], 2), np.array([[2.0, 3.0], [4.0, 5.0]]))
     assert np.array_equal(a, [[1.0, 2.0, 3.0], [1.0, 4.0, 5.0]])
 
 
 def test_receptive_mask_worked_example():
     # 4 data inputs + bias, 4 outputs, window 3: centers walk the data rows
     # and the window includes the bias row when it reaches the top
-    m = receptive_mask(5, 4, 3, biased_input=True)
+    m = _receptive_mask(5, 4, 3, biased_input=True)
     cols = [set(np.flatnonzero(m[:, j]) + 1) for j in range(4)]
     assert cols == [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {3, 4, 5}]
 
@@ -40,21 +44,14 @@ def test_receptive_mask_window_never_shrinks_at_edges():
     for in_dim in (4, 5, 9):
         for width in (1, 2, 3, 7):
             for r in (1, 3):
-                m = receptive_mask(in_dim, width, r, biased_input=False)
+                m = _receptive_mask(in_dim, width, r, biased_input=False)
                 assert m.shape == (in_dim, width)
                 assert (m.sum(axis=0) == min(r, in_dim)).all()
 
 
 def test_receptive_mask_wider_than_input_connects_everything():
-    m = receptive_mask(4, 3, 9, biased_input=True)
+    m = _receptive_mask(4, 3, 9, biased_input=True)
     assert m.all()
-
-
-def test_receptive_mask_rejects_even_or_nonpositive_window():
-    with pytest.raises(InvalidArgumentError):
-        receptive_mask(5, 4, 2, biased_input=True)
-    with pytest.raises(InvalidArgumentError):
-        receptive_mask(5, 4, 0, biased_input=True)
 
 
 def test_parse_structure_with_receptive_annotations():
@@ -92,7 +89,7 @@ def test_build_spec_and_format_round_trip():
 def test_default_masks_only_first_layer_sees_bias():
     spec = build_spec("4^r3-4^r3-2", input_dim=4, activation=SP,
                       linear_output=False)
-    masks = default_masks(spec)
+    masks = _default_masks(spec)
     assert masks[2] is None
     assert masks[0].shape == (5, 4)  # bias + 4 inputs
     assert masks[1].shape == (4, 4)  # hidden activations come unaugmented
@@ -104,7 +101,7 @@ def test_forward_is_plain_affine_chain_for_identity_linear_net():
     w1, w2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
     x = rng.standard_normal((5, 2))
     out = forward(spec, WeightSet([w1, w2]), x)
-    assert np.allclose(out.array, augment(x) @ w1 @ w2, atol=1e-14)
+    assert np.allclose(out.array, _augment(x) @ w1 @ w2, atol=1e-14)
 
 
 def test_forward_applies_output_activation_unless_linear():
@@ -116,13 +113,28 @@ def test_forward_applies_output_activation_unless_linear():
     assert forward(flat, w, x).array[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("widths, upto_layer", [([2, 1], None), ([2, 1], 1), ([1], None)],
+                         ids=["forward", "hidden_activation", "output_layer"])
+def test_a_product_that_overflows_is_rejected(widths, upto_layer):
+    # 1e200 inputs times 1e200 weights overflow a pre-activation
+    spec = _spec(widths, 2, activation=SP, linear_output=False)
+    w = WeightSet([np.full(shape, 1e200) for shape in zip(spec.in_dims, spec.widths)])
+    x = np.full((4, 2), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(
+            InvalidArgumentError, match="^activation input entries must be finite$"):
+        if upto_layer is None:
+            forward(spec, w, x)
+        else:
+            hidden_activation(spec, w, x, upto_layer)
+
+
 def test_hidden_activation_stage_zero_is_the_augmented_input():
     spec = _spec([2, 1], 2, activation=SP, linear_output=False)
     rng = np.random.default_rng(1)
     w = WeightSet([rng.standard_normal((3, 2)), rng.standard_normal((2, 1))])
     x = rng.standard_normal((4, 2))
     a0 = hidden_activation(spec, w, x, 0)
-    assert np.array_equal(a0, augment(x))
+    assert np.array_equal(a0, _augment(x))
     a1 = hidden_activation(spec, w, x, 1)
     assert a1.shape == (4, 2)
 
@@ -159,4 +171,4 @@ def test_network_spec_defaults_to_full_layers_and_stores_tuples():
     assert spec.widths == (3, 1)
     assert spec.receptive_fields == (None, None)
     assert spec == NetworkSpec(2, (3, 1), SP, False, [None, None])
-    assert default_masks(spec) == [None, None]
+    assert _default_masks(spec) == [None, None]

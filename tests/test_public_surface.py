@@ -15,11 +15,33 @@ def test_package_all_is_the_module_lists_without_duplicates():
             assert getattr(pinvnet, name) is getattr(module, name), name
 
 
+def test_the_public_names_are_exactly_these():
+    # a change to the surface shows up here as a diff
+    assert pinvnet.__all__ == [
+        "ActivationKind", "apply", "format_kind", "invert", "parse_kind",
+        "VarianceConfig", "VarianceReport", "mc_output_variance",
+        "solution_count", "write_variance_csv",
+        "Dataset", "CvPlan", "CvResult", "gen_regression", "gen_spiral",
+        "load_csv", "stratified_kfold", "accuracy", "training_targets",
+        "cv_search", "write_dataset_csv",
+        "PinvnetError", "InvalidArgumentError", "DomainViolationError",
+        "CsvParseError",
+        "Matrix", "PinvOptions", "pinv", "penrose_residual", "sse",
+        "write_matrix_csv",
+        "NetworkSpec", "WeightSet", "forward", "hidden_activation",
+        "parse_structure", "build_spec",
+        "InitScheme", "TrainConfig", "TrainReport", "train",
+        "__version__",
+    ]
+
+
 def test_deleted_and_internal_names_are_not_exported():
     for name in ("representation_check", "RepresentationReport",
                  "squared_bias", "variance_chain", "solve_least_squares",
                  "read_matrix_csv", "map_jobs", "as_array", "format_structure",
-                 "LayerSpec", "InvalidConfigurationError"):
+                 "LayerSpec", "InvalidConfigurationError", "back_target",
+                 "invert_with_count", "augment", "receptive_mask",
+                 "default_masks", "encode_targets", "expand_template", "EPS"):
         assert not hasattr(pinvnet, name), name
 
 

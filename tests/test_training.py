@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 
 import pinvnet.training as training_module
-from pinvnet.activations import ActivationKind, apply, invert, invert_with_count
+from pinvnet.activations import ActivationKind, _invert_with_count, apply, invert
 from pinvnet.errors import DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
-from pinvnet.network import (WeightSet, augment, build_spec, default_masks, forward,
+from pinvnet.network import (WeightSet, _default_masks, build_spec, forward,
                              hidden_activation)
-from pinvnet.training import (
-    InitScheme,
-    TrainConfig,
-    back_target,
-    solve_masked_layer,
-    train,
-)
+from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
 
 SP = ActivationKind.softplus08()
 ID = ActivationKind.identity()
+
+
+def augment(x):
+    return np.hstack([np.ones((len(x), 1)), x])
 
 
 def _sinc_data():
@@ -69,43 +67,20 @@ def test_single_layer_invertible_output_solves_against_inverted_targets():
     assert np.allclose(w, oracle, atol=1e-10)
 
 
-def test_back_target_peels_one_linear_layer():
-    # with identity activations, peeling W2 off Y is just Y @ pinv(W2)
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal((6, 2))
-    w2 = rng.standard_normal((4, 2))
-    t = back_target(y, [w2], ID, linear_output=True)
-    assert np.allclose(t, y @ pinv(w2), atol=1e-13)
-
-
-def test_back_target_applies_inverse_activation_before_peeling():
-    rng = np.random.default_rng(6)
-    y = rng.uniform(0.5, 2.0, (6, 2))
-    w2 = rng.standard_normal((4, 2))
-    t = back_target(y, [w2], SP, linear_output=False)
-    assert np.allclose(t, invert(SP, y) @ pinv(w2), atol=1e-13)
-
-
-def test_back_target_feasibility_reproduces_deep_targets():
-    # push a feasible hidden state forward through two layers, then peel
-    # the layers back off (weights go in output-to-inner order); pushing
-    # the peeled target forward again must land exactly on y
-    rng = np.random.default_rng(8)
-    a1 = apply(SP, rng.uniform(-1, 1, (5, 4)))
-    w2 = rng.standard_normal((4, 3))
-    w3 = rng.standard_normal((3, 3))
-    y = apply(SP, apply(SP, a1 @ w2) @ w3)
-    t = back_target(y, [w3, w2], SP, linear_output=False)
-    assert np.allclose(apply(SP, apply(SP, t @ w2) @ w3), y, atol=1e-8)
-
-
-def test_back_target_raises_when_its_target_overflows():
-    # 1e300 times pinv([[1e-300]]) = 1e300 overflows; the pull step that
-    # train shares raises instead of returning inf
-    y, w = np.array([[1e300]]), np.array([[1e-300]])
+@pytest.mark.parametrize("spec, x, y, init, what", [
+    # 1e300 targets times the LU inverse of a 1e-300 placeholder
+    (build_spec("1-1", 1, ID, linear_output=True), np.ones((3, 1)),
+     np.full((3, 1), 1e300), InitScheme.random(0, 1e-300),
+     "back-chained target for layer 1"),
+    # solving layer 2 first builds its design from x times layer 1's
+    # placeholder, 1e10 times up to 1e300
+    (build_spec("4-3-1", 2, SP), np.full((6, 2), 1e10), np.full((6, 1), 0.5),
+     InitScheme.random(0, 1e300, solve_order=(2, 1)), "pre-activation of layer 1"),
+], ids=["pulled_target", "pre_activation"])
+def test_train_raises_naming_the_product_that_overflows(spec, x, y, init, what):
     with np.errstate(over="ignore"), pytest.raises(
-            InvalidArgumentError, match=r"weights_after\[0\].*clamp_margin"):
-        back_target(y, [w], ID, linear_output=True)
+            InvalidArgumentError, match=rf"^{what} is not finite \(.*clamp_margin"):
+        train(spec, x, y, TrainConfig(init))
 
 
 def test_placeholders_are_uniform_and_scaled_by_c():
@@ -246,7 +221,7 @@ def test_training_respects_first_layer_receptive_mask():
     y = rng.uniform(0.5, 1.5, (20, 2))
     spec = build_spec("6^r3-2", 6, SP, linear_output=False)
     report = train(spec, x, y, TrainConfig(InitScheme.random(2, 0.5)))
-    mask = default_masks(spec)[0]
+    mask = _default_masks(spec)[0]
     w1 = report.weights.weights[0].array
     assert not w1[~mask].any()
     assert w1[mask].any()
@@ -324,7 +299,7 @@ def _reference_train(spec, x, y, cfg):
     counts) as plain arrays."""
     n = spec.n_layers
     f = spec.activation
-    masks = default_masks(spec)
+    masks = _default_masks(spec)
     xa = augment(x)
     opts, margin = cfg.pinv_opts, cfg.clamp_margin
     rng = np.random.default_rng(cfg.init.seed)
@@ -351,11 +326,11 @@ def _reference_train(spec, x, y, cfg):
         t, clamped = y, 0
         for j in range(n, k, -1):
             if not (j == n and spec.linear_output):
-                t, cj = invert_with_count(f, t, margin)
+                t, cj = _invert_with_count(f, t, margin)
                 clamped += cj
             t = t @ _pinv_or_inverse(eff(j), opts)
         if not (k == n and spec.linear_output):
-            t, cj = invert_with_count(f, t, margin)
+            t, cj = _invert_with_count(f, t, margin)
             clamped += cj
         if masks[k - 1] is not None:
             wk = solve_masked_layer(a, t, masks[k - 1], opts)
@@ -384,7 +359,7 @@ def _reference_data_matrix_train(spec, x, y, cfg):
         a = apply(f, a @ wk)
     t = y
     if not spec.linear_output:
-        t, counts[n - 1] = invert_with_count(f, t, margin)
+        t, counts[n - 1] = _invert_with_count(f, t, margin)
     wn = _pinv_array(a, opts) @ t
     residuals[n - 1] = float(np.linalg.norm(a @ wn - t))
     solved.append(wn)
