@@ -3,6 +3,7 @@ import pytest
 
 from pinvnet.activations import (
     ActivationKind,
+    _apply,
     _invert_with_count,
     apply,
     format_kind,
@@ -81,6 +82,27 @@ def test_clamp_disabled_raises_with_offender_position():
     assert err.value.position == (0, 1)
     with pytest.raises(DomainViolationError):
         invert(sp, y, clamp_margin=0.0)
+
+
+KINDS = {"identity": ActivationKind.identity(), "softplus": ActivationKind.softplus(),
+         "softplus08": ActivationKind.softplus08(),
+         "exp_scaled": ActivationKind.exp_scaled(0.3)}
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_apply_is_its_kernel_on_the_checked_array(name):
+    # train calls the kernel, forward the public function: train_sse equals
+    # the SSE of forward bit for bit only while the two agree
+    x = np.random.default_rng(3).uniform(-40.0, 40.0, (5, 4))
+    assert np.array_equal(apply(KINDS[name], x.tolist()), _apply(KINDS[name], x))
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_invert_is_its_kernel_on_the_checked_array(name):
+    # entries below every variant's clamp floor, at it and far above it
+    y = np.array([[-1.0, np.log(0.8), 0.0, 1e-12, 0.5, 45.0]])
+    out, _ = _invert_with_count(KINDS[name], y, 1e-6)
+    assert np.array_equal(invert(KINDS[name], y.tolist(), 1e-6), out)
 
 
 def test_exp_scaled_clamps_at_zero_boundary():

@@ -14,10 +14,11 @@ import pytest
 from pinvnet.activations import ActivationKind, invert, parse_kind
 from pinvnet.analysis import VarianceConfig, solution_count
 from pinvnet.datasets import (CvPlan, Dataset, accuracy, cv_search, gen_regression,
-                              gen_spiral, load_csv, training_targets)
+                              gen_spiral, load_csv, stratified_kfold, training_targets)
 from pinvnet.errors import CsvParseError, DomainViolationError, InvalidArgumentError
-from pinvnet.linalg import PinvOptions
-from pinvnet.network import NetworkSpec, WeightSet, forward, parse_structure
+from pinvnet.linalg import PinvOptions, penrose_residual, sse
+from pinvnet.network import (NetworkSpec, WeightSet, build_spec, forward, hidden_activation,
+                             parse_structure)
 from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
 
 SP = ActivationKind.softplus08()
@@ -45,6 +46,9 @@ ENTRIES = {
     "NetworkSpec.receptive_fields": (
         "receptive field", 1,
         lambda v: NetworkSpec(2, (3,), SP, receptive_fields=(v,))),
+    "build_spec.input_dim": ("input_dim", 1, lambda v: build_spec("3^r3-1", v, SP)),
+    "hidden_activation.upto_layer": (
+        "upto_layer", 0, lambda v: hidden_activation(SPEC, FULL, np.ones((4, 2)), v)),
     "gen_spiral.arms": ("arms", 1, lambda v: gen_spiral(v, 4)),
     "gen_spiral.per_arm": ("per_arm", 2, lambda v: gen_spiral(2, v)),
     "gen_spiral.seed": ("seed", 0, lambda v: gen_spiral(2, 4, seed=v)),
@@ -148,6 +152,7 @@ CLASSES = Dataset(np.zeros((2, 1)), np.eye(2), ("a", "b"), "classification")
 SWITCHES = {
     "CvPlan.stratified": ("stratified", lambda v: CvPlan(2, 1, 0, v)),
     "NetworkSpec.linear_output": ("linear_output", lambda v: NetworkSpec(2, (3,), SP, v)),
+    "build_spec.linear_output": ("linear_output", lambda v: build_spec("3^r3-1", 2, SP, v)),
     "load_csv.header": ("header", lambda v: load_csv(CSV, header=v)),
     "training_targets.linear_output": (
         "linear_output", lambda v: training_targets(CLASSES, v)),
@@ -192,6 +197,7 @@ TEXTS = {
     "load_csv.kind": ("kind", ("classification", "regression", "auto"),
                       lambda v: load_csv(CSV, kind=v)),
     "parse_structure": ("structure", None, parse_structure),
+    "build_spec.structure": ("structure", None, lambda v: build_spec(v, 2, SP)),
     "parse_kind": ("activation", None, parse_kind),
 }
 
@@ -262,7 +268,7 @@ def test_cv_search_h_grid_may_be_any_sequence_of_ints(grid):
     assert _cv_search_grid(grid) == _cv_search_grid([2, 4])
 
 
-@pytest.mark.parametrize("bad", [["h-q"], 5, None])
+@pytest.mark.parametrize("bad", [["h-q"], 5, None, pytest.param(b"h-q", id="bytes")])
 def test_each_cv_search_template_must_be_text(bad):
     with pytest.raises(InvalidArgumentError, match=r"^template must be text, got "):
         _cv_search(2, ["h-q", bad])
@@ -286,7 +292,7 @@ SPEC = NetworkSpec(2, (3, 2), SP)
 FULL = WeightSet([np.ones((3, 3)), np.ones((3, 2))])
 
 # (exception, message pattern, a call that must raise it): each rejection
-# of a value's shape or content that no other test reaches
+# of a value's shape or content, by the message no other test pins
 REJECTIONS = {
     "Dataset.rows": (InvalidArgumentError, "x and y must have the same row count",
                      lambda tmp: Dataset(np.zeros((3, 1)), np.zeros((2, 1)))),
@@ -324,6 +330,86 @@ REJECTIONS = {
     "train.rows": (InvalidArgumentError, "x and y must have the same row count",
                    lambda tmp: train(SPEC, np.ones((4, 2)), np.ones((3, 2)),
                                      TrainConfig(InitScheme.random(0)))),
+    "train.y_columns": (InvalidArgumentError, "y has 1 columns, output width is 2",
+                        lambda tmp: train(SPEC, np.ones((4, 2)), np.ones((4, 1)),
+                                          TrainConfig(InitScheme.random(0)))),
+    "train.solve_order": (
+        InvalidArgumentError, r"solve_order must be a permutation of 1\.\.1, got \[2\]",
+        lambda tmp: train(SPEC, np.ones((4, 2)), np.ones((4, 2)),
+                          TrainConfig(InitScheme.random(0, solve_order=(2,))))),
+    "train.data_matrix_widths": (
+        InvalidArgumentError, "every hidden width equal to the sample count 4, got 3",
+        lambda tmp: train(SPEC, np.ones((4, 2)), np.ones((4, 2)),
+                          TrainConfig(InitScheme.data_matrix()))),
+    "train.data_matrix_bands": (
+        InvalidArgumentError, "banded layers cannot hold pseudoinverse-valued weights",
+        lambda tmp: train(build_spec("4^r1-2", 2, SP), np.ones((4, 2)), np.ones((4, 2)),
+                          TrainConfig(InitScheme.data_matrix()))),
+    "InitScheme.data_matrix_order": (
+        InvalidArgumentError, "data_matrix init is inherently sequential; no custom order",
+        lambda tmp: InitScheme("data_matrix", solve_order=(1,))),
+    # NetworkSpec is the one check of what the band masks are built from
+    "NetworkSpec.even_band": (InvalidArgumentError, "^receptive field must be odd, got 2$",
+                              lambda tmp: build_spec("5^r2-1", 2, SP)),
+    "NetworkSpec.no_layers": (InvalidArgumentError, "^need at least one layer$",
+                              lambda tmp: NetworkSpec(2, (), SP)),
+    "NetworkSpec.band_count": (
+        InvalidArgumentError, "^1 receptive fields for 2 layers$",
+        lambda tmp: NetworkSpec(2, (3, 1), SP, receptive_fields=(3,))),
+    "parse_structure.token": (InvalidArgumentError, "^bad structure token '' in '4--2'$",
+                              lambda tmp: parse_structure("4--2")),
+    "hidden_activation.upto_layer_range": (
+        InvalidArgumentError, r"^upto_layer must be in \[0, 1\], got 2$",
+        lambda tmp: hidden_activation(SPEC, FULL, np.ones((4, 2)), 2)),
+    "forward.weight_shape": (
+        InvalidArgumentError, r"^layer 1 weight is \(4, 3\), expected \(3, 3\)$",
+        lambda tmp: forward(SPEC, WeightSet([np.ones((4, 3)), np.ones((3, 2))]),
+                            np.ones((4, 2)))),
+    "cv_search.template_token": (InvalidArgumentError, "^bad template token 'qq' in 'h-qq'$",
+                                 lambda tmp: _cv_search(2, ["h-qq"])),
+    "stratified_kfold.folds": (
+        InvalidArgumentError, "^folds=3 exceeds samples=2$",
+        lambda tmp: stratified_kfold(Dataset(np.eye(2), np.ones((2, 1))),
+                                     CvPlan(3, 1, 0))),
+    "ActivationKind.unused_alpha": (InvalidArgumentError, "^softplus takes no alpha, got 0.5$",
+                                    lambda tmp: ActivationKind("softplus", 0.5)),
+    "parse_kind.unknown": (InvalidArgumentError, "^unknown activation string 'relu'$",
+                           lambda tmp: parse_kind("relu")),
+    "parse_kind.alpha": (InvalidArgumentError, "^bad exp_scaled alpha in 'exp:abc'$",
+                         lambda tmp: parse_kind("exp:abc")),
+    "gen_spiral.odd_per_arm": (InvalidArgumentError, "^per_arm must be even, got 7$",
+                               lambda tmp: gen_spiral(3, 7)),
+    "gen_regression.noise_span": (
+        InvalidArgumentError, "^noise_frac 1.7e.308 gives an infinite noise span$",
+        lambda tmp: gen_regression(1, 1.7e308)),
+    "VarianceConfig.input_range_order": (
+        InvalidArgumentError, r"^input_range must have lo < hi and a finite span, got ",
+        lambda tmp: VarianceConfig(input_range=(5.0, -5.0))),
+    "Dataset.one_hot": (
+        InvalidArgumentError, "^classification targets must have one maximal entry per row$",
+        lambda tmp: Dataset(np.eye(2), np.ones((2, 2)), ("a", "b"), "classification")),
+    "load_csv.label_name": (
+        InvalidArgumentError, "^label_column by name requires header=True$",
+        lambda tmp: load_csv(CSV, "label")),
+    "load_csv.label_range": (
+        InvalidArgumentError, "^label column 9 out of range for 3 columns$",
+        lambda tmp: load_csv(_csv(tmp, "1,2,a\n3,4,b\n"), label_column=9)),
+    "load_csv.fields": (CsvParseError, "^line 2: expected 3 fields, got 2",
+                        lambda tmp: load_csv(_csv(tmp, "1.0,2.0,a\n3.0,b\n"))),
+    "load_csv.regression_target": (
+        CsvParseError, "^line 1: non-numeric regression target 'abc'",
+        lambda tmp: load_csv(_csv(tmp, "1.0,abc\n"), kind="regression")),
+    "as_array.ndim": (InvalidArgumentError, "^y must be 2-D, got ndim=1$",
+                      lambda tmp: sse(np.ones((1, 2)), [1.0, 2.0])),
+    "as_array.empty": (InvalidArgumentError, r"^g shape \(0, 3\) has a zero dimension$",
+                       lambda tmp: sse(np.empty((0, 3)), np.ones((1, 3)))),
+    "as_array.finite": (InvalidArgumentError, "^x_raw entries must be finite$",
+                        lambda tmp: forward(SPEC, FULL, [[1.0, np.nan]])),
+    "sse.shape": (InvalidArgumentError, r"^shape mismatch: \(2, 2\) vs \(2, 3\)$",
+                  lambda tmp: sse(np.ones((2, 2)), np.ones((2, 3)))),
+    "penrose_residual.shape": (
+        InvalidArgumentError, r"^shape mismatch: a is \(3, 2\), a_dag is \(3, 2\)$",
+        lambda tmp: penrose_residual(np.ones((3, 2)), np.ones((3, 2)))),
 }
 
 

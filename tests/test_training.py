@@ -7,7 +7,8 @@ from pinvnet.errors import DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
 from pinvnet.network import (WeightSet, _default_masks, build_spec, forward,
                              hidden_activation)
-from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
+from pinvnet.training import (InitScheme, TrainConfig, _pull_step, solve_masked_layer,
+                              train)
 
 SP = ActivationKind.softplus08()
 ID = ActivationKind.identity()
@@ -76,11 +77,50 @@ def test_single_layer_invertible_output_solves_against_inverted_targets():
     # placeholder, 1e10 times up to 1e300
     (build_spec("4-3-1", 2, SP), np.full((6, 2), 1e10), np.full((6, 1), 0.5),
      InitScheme.random(0, 1e300, solve_order=(2, 1)), "pre-activation of layer 1"),
-], ids=["pulled_target", "pre_activation"])
+    # solving layer 2 first against y pulled through a 1e-300 placeholder
+    # (about 1e300) on a design of about 1e-300: the weight is about 1e600
+    (build_spec("1-1-1", 1, ID, linear_output=True), np.arange(1.0, 4.0).reshape(3, 1),
+     np.ones((3, 1)), InitScheme.random(0, 1e-300, solve_order=(2, 1)),
+     "solved weight of layer 2"),
+], ids=["pulled_target", "pre_activation", "solved_weight"])
 def test_train_raises_naming_the_product_that_overflows(spec, x, y, init, what):
     with np.errstate(over="ignore"), pytest.raises(
             InvalidArgumentError, match=rf"^{what} is not finite \(.*clamp_margin"):
         train(spec, x, y, TrainConfig(init))
+
+
+def test_pull_step_peels_one_linear_layer():
+    # with identity activations, peeling W2 off Y is just Y @ pinv(W2)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((6, 2))
+    w2 = rng.standard_normal((4, 2))
+    t = _pull_step(y, w2, ID, 1e-9, PinvOptions(), "target")
+    assert np.allclose(t, y @ pinv(w2), atol=1e-13)
+
+
+def test_pull_step_takes_the_target_already_through_the_inverse():
+    rng = np.random.default_rng(6)
+    y = rng.uniform(0.5, 2.0, (6, 2))
+    w2 = rng.standard_normal((4, 2))
+    g, _ = _invert_with_count(SP, y, 1e-9)
+    t = _pull_step(g, w2, SP, 1e-9, PinvOptions(), "target")
+    assert np.allclose(t, invert(SP, y) @ pinv(w2), atol=1e-13)
+
+
+def test_pull_steps_reproduce_feasible_deep_targets():
+    # push a feasible hidden state forward through two layers, then peel
+    # the layers back off from the output side; pushing the peeled target
+    # forward again must land exactly on y
+    rng = np.random.default_rng(8)
+    a1 = apply(SP, rng.uniform(-1, 1, (5, 4)))
+    w2 = rng.standard_normal((4, 3))
+    w3 = rng.standard_normal((3, 3))
+    y = apply(SP, apply(SP, a1 @ w2) @ w3)
+    t = y
+    for w in (w3, w2):
+        t = _pull_step(_invert_with_count(SP, t, 1e-9)[0], w, SP, 1e-9, PinvOptions(),
+                       "target")
+    assert np.allclose(apply(SP, apply(SP, t @ w2) @ w3), y, atol=1e-8)
 
 
 def test_placeholders_are_uniform_and_scaled_by_c():
