@@ -8,7 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .activations import ActivationKind, apply
+from .activations import ActivationKind, _apply
 from .errors import InvalidArgumentError, _check_int, _check_real
 from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
@@ -83,9 +83,9 @@ def _projection_chain(x: np.ndarray, activation: ActivationKind, max_depth: int,
 
 
 def _symmetric_step(p: np.ndarray, activation: ActivationKind):
-    """(H, H^dagger, basis of H H^dagger) for H = f(P), P symmetric, from one
-    eigh of H's lower triangle; sigma = |lambda|, so the SVD cutoff applies."""
-    h = apply(activation, p)
+    """(H, H^dagger, basis of H H^dagger) for H = f(P), P a finite projector,
+    from one eigh of H's lower triangle; sigma = |lambda|, so the SVD cutoff applies."""
+    h = _apply(activation, p)
     lam, v = np.linalg.eigh(h)
     return (h, *_truncated_pinv(v, lam, v.T, _DEFAULT_OPTS))
 

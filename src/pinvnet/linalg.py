@@ -63,9 +63,14 @@ def as_array(a, name="matrix") -> np.ndarray:
         raise InvalidArgumentError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidArgumentError(f"{name} shape {arr.shape} has a zero dimension")
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError(f"{name} entries must be finite")
-    return arr
+    return _check_finite(arr, f"{name} entries")
+
+
+def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, or InvalidArgumentError saying that `what` must be finite."""
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError(f"{what} must be finite")
+    return a
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .activations import ActivationKind, apply
+from .activations import ActivationKind, _apply
 from .errors import InvalidArgumentError, _check_bool, _check_int, _check_text
-from .linalg import Matrix, as_array
+from .linalg import Matrix, _check_finite, as_array
 
 __all__ = [
     "NetworkSpec",
@@ -142,6 +142,13 @@ def _check_chain(spec: NetworkSpec, w: WeightSet):
             )
 
 
+def _layer_step(spec: NetworkSpec, z: np.ndarray, k: int) -> np.ndarray:
+    """Layer k's output f(z), or z for a linear output layer, from its
+    pre-activation z, checked first: a product of finite arrays can overflow."""
+    _check_finite(z, f"pre-activation of layer {k}")
+    return z if k == spec.n_layers and spec.linear_output else _apply(spec.activation, z)
+
+
 def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
     """Design matrix after `upto_layer` activated layers; 0 means the
     augmented input itself."""
@@ -153,17 +160,14 @@ def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
     _check_chain(spec, w)
     a = _input_design(spec, x_raw)
     for k in range(upto_layer):
-        a = apply(spec.activation, a @ w.weights[k].array)
+        a = _layer_step(spec, a @ w.weights[k].array, k + 1)
     return a
 
 
 def forward(spec: NetworkSpec, w: WeightSet, x_raw):
     """Network output on raw (unaugmented) inputs."""
     a = hidden_activation(spec, w, x_raw, spec.n_layers - 1)
-    z = a @ w.weights[-1].array
-    if not spec.linear_output:
-        z = apply(spec.activation, z)
-    return Matrix(z)
+    return Matrix(_layer_step(spec, a @ w.weights[-1].array, spec.n_layers))
 
 
 _TOKEN = re.compile(r"^(\d+)(?:\^r(\d+))?$")

@@ -17,11 +17,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .activations import _DEFAULT_MARGIN, _apply, _invert_with_count
+from .activations import _DEFAULT_MARGIN, _invert_with_count
 from .errors import InvalidArgumentError, _check_int, _check_real, _check_text
-from .linalg import (_DEFAULT_OPTS, PinvOptions, _pinv_array, _pinv_or_inverse,
-                     as_array, sse)
-from .network import NetworkSpec, WeightSet, _default_masks, _input_design
+from .linalg import (_DEFAULT_OPTS, PinvOptions, _check_finite, _pinv_array,
+                     _pinv_or_inverse, as_array, sse)
+from .network import NetworkSpec, WeightSet, _default_masks, _input_design, _layer_step
 
 __all__ = [
     "InitScheme",
@@ -89,24 +89,21 @@ class TrainReport:
     clamped_entry_counts: List[int]
 
 
-def _check_finite(a, f, margin, what):
-    """a, or InvalidArgumentError naming `what`, the clamp floor and
-    clamp_margin, whose large values overflow targets, weights and the
-    products of designs and weights."""
-    if not np.isfinite(a).all():
-        raise InvalidArgumentError(
-            f"{what} is not finite (clamp floor {f.lower_bound + margin!r} "
+def _clamp_note(what, f, margin, clamped):
+    """`what`, and the clamp floor and clamp_margin if a clamp fed it: the
+    one way a large margin reaches a pulled target or a weight."""
+    if not clamped:
+        return what
+    return (f"{what} (from a target clamped to floor {f.lower_bound + margin!r} "
             f"= lower bound {f.lower_bound!r} + clamp_margin {margin!r})")
-    return a
 
 
-def _pull_step(t, wj, f, margin, opts, what):
+def _pull_step(t, wj, opts, what):
     """One back-chain step through layer j: the target, already through
-    f's inverse, right-multiplied by the pseudoinverse of W_j, an LU
-    inverse when W_j is square and certified well-conditioned
-    (`linalg._pinv_or_inverse`). Raises if the product is not finite,
-    naming `what` and clamp_margin."""
-    return _check_finite(t @ _pinv_or_inverse(wj, opts), f, margin, what)
+    f's inverse, times W_j's pseudoinverse, an LU inverse when W_j is
+    square and certified well-conditioned (`linalg._pinv_or_inverse`);
+    raises naming `what` if the product is not finite."""
+    return _check_finite(t @ _pinv_or_inverse(wj, opts), what)
 
 
 def solve_masked_layer(a, t, mask, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
@@ -157,10 +154,9 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     weights replace their placeholders. data_matrix init draws nothing and
     solves in order; each hidden layer k < n targets I, so W_k = A^+ I
     (hidden widths must equal the sample count; the residual reported is
-    ||A W_k - I||), and the output layer targets the data. A pull-back
-    step, a layer's solve and a layer's pre-activation raise
-    InvalidArgumentError naming the layer and clamp_margin when the
-    target, the weight or the product they produce is not finite.
+    ||A W_k - I||), and the output layer targets the data. A non-finite
+    pulled target, weight or pre-activation raises InvalidArgumentError
+    naming its layer, and clamp_margin if a clamped target fed it.
 
     Two prefix caches keep each factorization to one: the design of
     every layer up to the next one solved, carried forward from aug(x),
@@ -183,8 +179,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
 
     The output layer is solved last, against the design built from the
     final weights, so A W_n on that design is the forward pass's output
-    pre-activation: train_sse is read from it, equal bit for bit to the
-    SSE of `forward` on the training inputs, without a second pass.
+    pre-activation: train_sse is read from it through `forward`'s own
+    layer step, equal bit for bit to `forward`'s SSE, without a second pass.
     """
     xa = _input_design(spec, x_raw)
     yarr = as_array(y, "y")
@@ -220,11 +216,6 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
 
     rng = np.random.default_rng(cfg.init.seed)
 
-    def activate(z, k):
-        # f of layer k's pre-activation, which a product of finite
-        # matrices can still overflow
-        return _apply(f, _check_finite(z, f, margin, f"pre-activation of layer {k}"))
-
     def draw(k):
         shape = (spec.in_dims[k - 1], spec.widths[k - 1])
         r = rng.uniform(-1.0, 1.0, shape) * cfg.init.scale_c
@@ -252,7 +243,7 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     for pos, k in enumerate(order):
         while len(designs) < k:
             j = len(designs)
-            designs.append(activate(designs[-1] @ w[j], j))
+            designs.append(_layer_step(spec, designs[-1] @ w[j], j))
         a = designs[k - 1]
         if data_matrix and k < n:
             # a data_matrix hidden layer targets I, so W_k = A^+ I = A^+
@@ -264,8 +255,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
                     t, clamped = yarr, 0
                 else:
                     t, clamped = pulled[-1]
-                    t = _pull_step(t, w[n + 1 - i], f, margin, opts,
-                                   f"back-chained target for layer {n - i}")
+                    t = _pull_step(t, w[n + 1 - i], opts, _clamp_note(
+                        f"back-chained target for layer {n - i}", f, margin, clamped))
                 if not (i == 0 and spec.linear_output):
                     t, c = _invert_with_count(f, t, margin)
                     clamped += c
@@ -275,7 +266,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
             wk = solve_masked_layer(a, t, masks[k - 1], opts)
         else:
             wk = _pinv_array(a, opts) @ t
-        w[k] = _check_finite(wk, f, margin, f"solved weight of layer {k}")
+        w[k] = _check_finite(
+            wk, _clamp_note(f"solved weight of layer {k}", f, margin, clamped))
         # layer k now differs from its placeholder: drop every cached
         # design computed through it and every pull-back through it
         del designs[k:]
@@ -285,14 +277,13 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
         counts[k - 1] = clamped
         if k < n:  # only the output layer's product outlives its solve
             if order[pos + 1] > k:  # the next solve reads layer k + 1's design
-                designs.append(activate(z, k))
+                designs.append(_layer_step(spec, z, k))
             del z
 
     # layer n was solved last: z is the output's pre-activation
-    out = z if spec.linear_output else activate(z, n)
     return TrainReport(
         weights=WeightSet(w[1:]),
-        train_sse=sse(out, yarr),
+        train_sse=sse(_layer_step(spec, z, n), yarr),
         per_layer_solve_residuals=residuals,
         clamped_entry_counts=counts,
     )

@@ -141,6 +141,18 @@ def test_load_csv_field_count_mismatch_names_the_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_csv_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("1,2,a\n\n3,4,b\n\n")
+    ds = load_csv(p, kind="classification")
+    assert np.array_equal(ds.x, [[1.0, 2.0], [3.0, 4.0]])
+    # the blank line 2 still counts: the short row is file line 3
+    p.write_text("1,2,a\n\n3,4\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(p, kind="classification")
+    assert err.value.line == 3
+
+
 def test_load_csv_non_numeric_target_names_its_file_line(tmp_path):
     # the header, a dropped row and a quoted newline sit before the bad
     # cell: "zz" is on file line 5, though it is the second row kept

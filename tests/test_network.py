@@ -113,15 +113,19 @@ def test_forward_applies_output_activation_unless_linear():
     assert forward(flat, w, x).array[0, 0] == 0.0
 
 
-@pytest.mark.parametrize("widths, upto_layer", [([2, 1], None), ([2, 1], 1), ([1], None)],
-                         ids=["forward", "hidden_activation", "output_layer"])
-def test_a_product_that_overflows_is_rejected(widths, upto_layer):
-    # 1e200 inputs times 1e200 weights overflow a pre-activation
-    spec = _spec(widths, 2, activation=SP, linear_output=False)
+@pytest.mark.parametrize("widths, upto_layer, linear_output",
+                         [([2, 1], None, False), ([2, 1], 1, False), ([1], None, False),
+                          ([1], None, True)],
+                         ids=["forward", "hidden_activation", "output_layer",
+                              "linear_output_layer"])
+def test_a_product_that_overflows_is_rejected(widths, upto_layer, linear_output):
+    # 1e200 inputs times 1e200 weights overflow layer 1's pre-activation,
+    # which `train` rejects with the same message
+    spec = _spec(widths, 2, activation=SP, linear_output=linear_output)
     w = WeightSet([np.full(shape, 1e200) for shape in zip(spec.in_dims, spec.widths)])
     x = np.full((4, 2), 1e200)
     with np.errstate(over="ignore"), pytest.raises(
-            InvalidArgumentError, match="^activation input entries must be finite$"):
+            InvalidArgumentError, match="^pre-activation of layer 1 must be finite$"):
         if upto_layer is None:
             forward(spec, w, x)
         else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import pinvnet.training as training_module
+import pinvnet.network as network_module
 from pinvnet.activations import ActivationKind, _invert_with_count, apply, invert
 from pinvnet.errors import DomainViolationError, InvalidArgumentError
 from pinvnet.linalg import PinvOptions, _pinv_array, _pinv_or_inverse, pinv, sse
@@ -68,25 +68,34 @@ def test_single_layer_invertible_output_solves_against_inverted_targets():
     assert np.allclose(w, oracle, atol=1e-10)
 
 
-@pytest.mark.parametrize("spec, x, y, init, what", [
+@pytest.mark.parametrize("spec, x, y, init, margin, message", [
     # 1e300 targets times the LU inverse of a 1e-300 placeholder
     (build_spec("1-1", 1, ID, linear_output=True), np.ones((3, 1)),
-     np.full((3, 1), 1e300), InitScheme.random(0, 1e-300),
-     "back-chained target for layer 1"),
+     np.full((3, 1), 1e300), InitScheme.random(0, 1e-300), 1e-9,
+     "back-chained target for layer 1 must be finite"),
     # solving layer 2 first builds its design from x times layer 1's
     # placeholder, 1e10 times up to 1e300
     (build_spec("4-3-1", 2, SP), np.full((6, 2), 1e10), np.full((6, 1), 0.5),
-     InitScheme.random(0, 1e300, solve_order=(2, 1)), "pre-activation of layer 1"),
+     InitScheme.random(0, 1e300, solve_order=(2, 1)), 1e-9,
+     "pre-activation of layer 1 must be finite"),
     # solving layer 2 first against y pulled through a 1e-300 placeholder
     # (about 1e300) on a design of about 1e-300: the weight is about 1e600
     (build_spec("1-1-1", 1, ID, linear_output=True), np.arange(1.0, 4.0).reshape(3, 1),
-     np.ones((3, 1)), InitScheme.random(0, 1e-300, solve_order=(2, 1)),
-     "solved weight of layer 2"),
-], ids=["pulled_target", "pre_activation", "solved_weight"])
-def test_train_raises_naming_the_product_that_overflows(spec, x, y, init, what):
+     np.ones((3, 1)), InitScheme.random(0, 1e-300, solve_order=(2, 1)), 1e-9,
+     "solved weight of layer 2 must be finite"),
+    # y = 0 is clamped to the floor 1e308; the design [[1, 1], [1, 2]]
+    # inverts to [[2, -1], [-1, 1]], so the intercept is 2 * 1.7e308 - 1e308
+    (build_spec("1", 1, SP), np.array([[1.0], [2.0]]), np.array([[1.7e308], [0.0]]),
+     InitScheme.random(0), 1e308,
+     r"solved weight of layer 1 \(from a target clamped to floor 1e\+308 = lower "
+     r"bound -0\.2231435513142097 \+ clamp_margin 1e\+308\) must be finite"),
+], ids=["pulled_target", "pre_activation", "solved_weight", "clamped_solved_weight"])
+def test_train_raises_naming_the_product_that_overflows(spec, x, y, init, margin,
+                                                        message):
+    # only a target that a clamp fed names the clamp floor and clamp_margin
     with np.errstate(over="ignore"), pytest.raises(
-            InvalidArgumentError, match=rf"^{what} is not finite \(.*clamp_margin"):
-        train(spec, x, y, TrainConfig(init))
+            InvalidArgumentError, match=rf"^{message}$"):
+        train(spec, x, y, TrainConfig(init, clamp_margin=margin))
 
 
 def test_pull_step_peels_one_linear_layer():
@@ -94,7 +103,7 @@ def test_pull_step_peels_one_linear_layer():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((6, 2))
     w2 = rng.standard_normal((4, 2))
-    t = _pull_step(y, w2, ID, 1e-9, PinvOptions(), "target")
+    t = _pull_step(y, w2, PinvOptions(), "target")
     assert np.allclose(t, y @ pinv(w2), atol=1e-13)
 
 
@@ -103,7 +112,7 @@ def test_pull_step_takes_the_target_already_through_the_inverse():
     y = rng.uniform(0.5, 2.0, (6, 2))
     w2 = rng.standard_normal((4, 2))
     g, _ = _invert_with_count(SP, y, 1e-9)
-    t = _pull_step(g, w2, SP, 1e-9, PinvOptions(), "target")
+    t = _pull_step(g, w2, PinvOptions(), "target")
     assert np.allclose(t, invert(SP, y) @ pinv(w2), atol=1e-13)
 
 
@@ -118,8 +127,7 @@ def test_pull_steps_reproduce_feasible_deep_targets():
     y = apply(SP, apply(SP, a1 @ w2) @ w3)
     t = y
     for w in (w3, w2):
-        t = _pull_step(_invert_with_count(SP, t, 1e-9)[0], w, SP, 1e-9, PinvOptions(),
-                       "target")
+        t = _pull_step(_invert_with_count(SP, t, 1e-9)[0], w, PinvOptions(), "target")
     assert np.allclose(apply(SP, apply(SP, t @ w2) @ w3), y, atol=1e-8)
 
 
@@ -448,7 +456,7 @@ def test_train_builds_a_design_only_for_a_solve_that_reads_it(monkeypatch, order
     # output; a design built after solving layer k is not dropped unread
     # when the next solve is of a layer before k
     calls = []
-    monkeypatch.setattr(training_module, "_apply",
+    monkeypatch.setattr(network_module, "_apply",
                         lambda f, a: calls.append(1) or apply(f, a))
     x, y = _bit_identity_data()
     spec = build_spec("9-7-5-2", 3, SP)
