@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolationError, InvalidArgumentError, _check_real, _check_text
+from .errors import (DomainViolationError, InvalidArgumentError, _check_real, _check_text,
+                     _check_type)
 from .linalg import as_array
 
 __all__ = [
@@ -77,6 +78,7 @@ class ActivationKind:
 def format_kind(kind: ActivationKind) -> str:
     """The text `parse_kind` reads back to `kind`: exp:<alpha> in the short
     %g form when that parses back to alpha exactly, else repr(alpha)."""
+    _check_type("kind", kind, ActivationKind)
     if kind.variant != "exp_scaled":
         return kind.variant
     text = f"{kind.alpha:g}"
@@ -99,6 +101,7 @@ def parse_kind(text: str) -> ActivationKind:
 
 def apply(kind: ActivationKind, a):
     """f(a) entrywise."""
+    _check_type("kind", kind, ActivationKind)
     return _apply(kind, as_array(a, "activation input"))
 
 
@@ -164,5 +167,6 @@ def invert(kind: ActivationKind, y, clamp_margin=_DEFAULT_MARGIN):
     entry at or below the bound raises DomainViolationError naming its
     position. clamp_margin must be a finite number >= 0.
     """
+    _check_type("kind", kind, ActivationKind)
     _check_real("clamp_margin", clamp_margin, 0)
     return _invert_with_count(kind, as_array(y, "inverse input"), clamp_margin)[0]

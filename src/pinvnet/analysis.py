@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from .activations import ActivationKind, _apply
-from .errors import InvalidArgumentError, _check_int, _check_real
+from .errors import InvalidArgumentError, _check_int, _check_real, _check_type
 from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
 __all__ = [
@@ -54,6 +54,7 @@ class VarianceConfig:
             raise InvalidArgumentError(
                 f"input_range must have lo < hi and a finite span, got {self.input_range}")
         _check_real("noise_scale", self.noise_scale, 0, strict=True)
+        _check_type("activation", self.activation, ActivationKind)
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ def mc_output_variance(cfg: VarianceConfig) -> VarianceReport:
     depths, so depth comparisons are paired. Draw order per trial:
     X, eps, d-dimensional x0, m-dimensional x0.
     """
+    _check_type("cfg", cfg, VarianceConfig)
     lo, hi = cfg.input_range
     children = np.random.default_rng(cfg.seed).spawn(cfg.trials)
     at_identity = _identity_step(cfg.m, cfg.activation)

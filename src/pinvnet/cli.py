@@ -349,7 +349,9 @@ def cmd_train(args) -> int:
     spec = build_spec(opts.structure, ds.x.shape[1], activation,
                       opts.linear_output)
     targets = training_targets(ds, opts.linear_output)
-    cfg = _train_config(opts, InitScheme(opts.init, opts.seed, opts.c, opts.solve_order))
+    # --seed is echoed but unread under data_matrix init, which draws nothing
+    seed = opts.seed if opts.init == "random" else 0
+    cfg = _train_config(opts, InitScheme(opts.init, seed, opts.c, opts.solve_order))
     report = train(spec, ds.x, targets, cfg)
 
     body = {

@@ -11,7 +11,7 @@ import numpy as np
 
 from .activations import ActivationKind
 from .errors import (CsvParseError, InvalidArgumentError, _check_bool, _check_int,
-                     _check_real, _check_text)
+                     _check_real, _check_text, _check_type)
 from .linalg import _write_csv, as_array, sse
 from .network import NetworkSpec, forward
 from .parallel import map_jobs
@@ -36,9 +36,9 @@ _MISSING = {"", "?", "na", "nan"}
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Features x and targets y as read-only float64 views, validated
-    once at construction. Array fields do not compare or hash like
-    values, so Datasets compare by identity."""
+    """Read-only float64 views x and y, and class_labels None or a tuple
+    of one str per column of y, validated once at construction. Arrays do
+    not compare or hash like values, so Datasets compare by identity."""
 
     x: np.ndarray
     y: np.ndarray
@@ -53,6 +53,13 @@ class Dataset:
             object.__setattr__(self, name, view)
         if self.x.shape[0] != self.y.shape[0]:
             raise InvalidArgumentError("x and y must have the same row count")
+        if self.class_labels is not None:
+            _check_sequence("class_labels", self.class_labels, "str")
+            for i, label in enumerate(self.class_labels):
+                _check_text(f"class_labels[{i}]", label)
+            object.__setattr__(self, "class_labels", tuple(self.class_labels))
+            if len(self.class_labels) != self.y.shape[1]:
+                raise InvalidArgumentError("class_labels length must equal y's column count")
         if self.kind == "classification":
             ya = self.y
             # each row must name exactly one class: a unique maximal entry
@@ -61,8 +68,6 @@ class Dataset:
                 raise InvalidArgumentError(
                     "classification targets must have one maximal entry per row"
                 )
-            if self.class_labels is not None and len(self.class_labels) != ya.shape[1]:
-                raise InvalidArgumentError("class_labels length must equal y's column count")
 
     @property
     def labels(self) -> np.ndarray:
@@ -311,6 +316,8 @@ def stratified_kfold(ds: Dataset, plan: CvPlan):
     Classes smaller than the fold count simply miss some folds.
     Unstratified (or regression) data is dealt the same way as one class.
     """
+    _check_type("ds", ds, Dataset)
+    _check_type("plan", plan, CvPlan)
     m = ds.x.shape[0]
     if plan.folds > m:
         raise InvalidArgumentError(f"folds={plan.folds} exceeds samples={m}")
@@ -513,6 +520,10 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     in-process run under a one-thread BLAS, whatever the worker count, and
     an error is the one the in-process loop raises.
     """
+    _check_type("ds", ds, Dataset)
+    _check_type("plan", plan, CvPlan)
+    _check_type("cfg", cfg, TrainConfig)
+    _check_type("activation", activation, ActivationKind)
     _check_sequence("h_grid", h_grid, "ints")
     _check_sequence("templates", templates, "templates")
     for tmpl in templates:

@@ -1,7 +1,7 @@
 """Shared exception types, and the one check of each kind of setting: an
-int, a real number, a switch and text, which may have to be one of a set
-of choices. A bad value raises InvalidArgumentError, a ValueError naming
-its field; the CLI maps it and CsvParseError to exit 2,
+int, a real number, a switch, text (maybe one of a set of choices) and a
+library object of one class. A bad value raises InvalidArgumentError, a
+ValueError naming its field; the CLI maps it and CsvParseError to exit 2,
 DomainViolationError and the other PinvnetErrors to exit 1."""
 
 import math
@@ -83,3 +83,9 @@ def _check_text(name, value, choices=None):
     if not isinstance(value, str) or (choices is not None and value not in choices):
         what = "text" if choices is None else "one of " + ", ".join(choices)
         raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_type(name, value, cls):
+    """Raise InvalidArgumentError naming `name` unless value is a `cls`."""
+    if not isinstance(value, cls):
+        raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")

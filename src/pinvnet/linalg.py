@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _check_real
+from .errors import InvalidArgumentError, _check_real, _check_type
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -149,6 +149,7 @@ def _truncated_pinv(u, s, vt, opts: PinvOptions):
 def pinv(a, opts: PinvOptions = _DEFAULT_OPTS) -> np.ndarray:
     """Pseudoinverse from one thin SVD, cut and damped as `opts` says (see
     `PinvOptions`); at ridge=0 it meets the four Penrose conditions."""
+    _check_type("opts", opts, PinvOptions)
     return _pinv_array(as_array(a, "pinv input"), opts)
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .activations import ActivationKind, _apply
-from .errors import InvalidArgumentError, _check_bool, _check_int, _check_text
+from .errors import InvalidArgumentError, _check_bool, _check_int, _check_text, _check_type
 from .linalg import Matrix, _check_finite, as_array
 
 __all__ = [
@@ -44,6 +44,7 @@ class NetworkSpec:
         bands = (tuple(self.receptive_fields) if self.receptive_fields is not None
                  else (None,) * len(widths))
         _check_int("input_dim", self.input_dim, 1)
+        _check_type("activation", self.activation, ActivationKind)
         _check_bool("linear_output", self.linear_output)
         if not widths:
             raise InvalidArgumentError("need at least one layer")
@@ -131,6 +132,8 @@ def _default_masks(spec: NetworkSpec):
 
 
 def _check_chain(spec: NetworkSpec, w: WeightSet):
+    _check_type("spec", spec, NetworkSpec)
+    _check_type("w", w, WeightSet)
     if len(w) != spec.n_layers:
         raise InvalidArgumentError(
             f"weight set has {len(w)} layers, spec has {spec.n_layers}"
@@ -152,12 +155,12 @@ def _layer_step(spec: NetworkSpec, z: np.ndarray, k: int) -> np.ndarray:
 def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
     """Design matrix after `upto_layer` activated layers; 0 means the
     augmented input itself."""
+    _check_chain(spec, w)
     _check_int("upto_layer", upto_layer, 0)
     if upto_layer > spec.n_layers - 1:
         raise InvalidArgumentError(
             f"upto_layer must be in [0, {spec.n_layers - 1}], got {upto_layer}"
         )
-    _check_chain(spec, w)
     a = _input_design(spec, x_raw)
     for k in range(upto_layer):
         a = _layer_step(spec, a @ w.weights[k].array, k + 1)
@@ -166,6 +169,7 @@ def hidden_activation(spec: NetworkSpec, w: WeightSet, x_raw, upto_layer: int):
 
 def forward(spec: NetworkSpec, w: WeightSet, x_raw):
     """Network output on raw (unaugmented) inputs."""
+    _check_type("spec", spec, NetworkSpec)
     a = hidden_activation(spec, w, x_raw, spec.n_layers - 1)
     return Matrix(_layer_step(spec, a @ w.weights[-1].array, spec.n_layers))
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .activations import _DEFAULT_MARGIN, _invert_with_count
-from .errors import InvalidArgumentError, _check_int, _check_real, _check_text
+from .errors import InvalidArgumentError, _check_int, _check_real, _check_text, _check_type
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _check_finite, _pinv_array,
                      _pinv_or_inverse, as_array, sse)
 from .network import NetworkSpec, WeightSet, _default_masks, _input_design, _layer_step
@@ -38,9 +38,9 @@ class InitScheme:
     kind "random": placeholders drawn uniform on [-1, 1] times scale_c from
     a seeded generator. kind "data_matrix": no randomness, every non-output
     weight is the pseudoinverse of its design matrix (requires all hidden
-    widths equal to the sample count). solve_order None solves layers
-    1..n in order; a custom order permutes the inner layers only, the
-    output layer is solved last by construction.
+    widths equal to the sample count), so seed 0, scale_c 1.0 and no
+    solve_order. solve_order None solves layers 1..n in order; a custom
+    order of ints permutes the inner layers only, the output layer last.
     """
 
     kind: str = "random"
@@ -52,12 +52,20 @@ class InitScheme:
         _check_text("kind", self.kind, ("random", "data_matrix"))
         _check_int("seed", self.seed, 0)
         _check_real("scale_c", self.scale_c, 0, strict=True)
+        if self.kind == "data_matrix":
+            for name, unread in (("seed", 0), ("scale_c", 1.0)):
+                if getattr(self, name) != unread:
+                    raise InvalidArgumentError(
+                        f"{name} must be {unread!r} under data_matrix init, "
+                        f"got {getattr(self, name)!r}")
         if self.solve_order is not None:
             object.__setattr__(self, "solve_order", tuple(self.solve_order))
             if self.kind == "data_matrix":
                 raise InvalidArgumentError(
                     "data_matrix init is inherently sequential; no custom order"
                 )
+            for i, k in enumerate(self.solve_order):
+                _check_int(f"solve_order[{i}]", k, 1)
 
     @classmethod
     def random(cls, seed: int = 0, scale_c: float = 1.0, solve_order=None):
@@ -75,6 +83,8 @@ class TrainConfig:
     clamp_margin: float = _DEFAULT_MARGIN
 
     def __post_init__(self):
+        _check_type("init", self.init, InitScheme)
+        _check_type("pinv_opts", self.pinv_opts, PinvOptions)
         _check_real("clamp_margin", self.clamp_margin, 0)
 
 
@@ -182,6 +192,8 @@ def train(spec: NetworkSpec, x_raw, y, cfg: TrainConfig) -> TrainReport:
     pre-activation: train_sse is read from it through `forward`'s own
     layer step, equal bit for bit to `forward`'s SSE, without a second pass.
     """
+    _check_type("spec", spec, NetworkSpec)
+    _check_type("cfg", cfg, TrainConfig)
     xa = _input_design(spec, x_raw)
     yarr = as_array(y, "y")
     if yarr.shape[0] != xa.shape[0]:

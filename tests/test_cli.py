@@ -266,6 +266,8 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys, monkeypatch):
         (["train", "--structure", "5-x-3"], "--structure"),
         (["train", "--structure", "4-3", "--init", "data_matrix",
           "--solve-order", "1"], "data_matrix"),
+        (["train", "--structure", "4-3", "--init", "data_matrix", "--c", "2"],
+         "scale_c"),
     ],
     ids=["solve-order", "grid", "range", "shapes", "count", "folds",
          "spiral-arms", "regression-noisy-sets", "noise-scale-inf",
@@ -275,7 +277,7 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys, monkeypatch):
          "train-exp-inf", "variance-exp-inf", "range-span-overflow",
          "regression-noise-span-overflow", "clamp-margin-overflow",
          "train-activation-unknown", "variance-activation-unknown",
-         "train-structure-token", "data-matrix-solve-order"],
+         "train-structure-token", "data-matrix-solve-order", "data-matrix-c"],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     if argv[0] in ("train", "cv"):
@@ -289,6 +291,19 @@ def test_bad_option_values_exit_2(tmp_path, capsys, spiral_csv, argv, message):
     assert message in err["error"]["message"]
     assert "selfcheck ok" not in stdout
     assert not (tmp_path / "run").exists()
+
+
+def test_data_matrix_train_echoes_seed_but_draws_nothing(tmp_path, spiral_csv):
+    runs = {}
+    for tag, seed in (("seeded", ["--seed", "5"]), ("plain", [])):
+        out = runs[tag] = tmp_path / tag
+        assert main(["train", "--data", str(spiral_csv), "--structure", "30-3",
+                     "--init", "data_matrix", "--dump-weights", *seed,
+                     "--out", str(out)]) == 0
+    assert json.loads((runs["seeded"] / "manifest.json").read_text())["seed"] == 5
+    for name in ("weights_01.csv", "weights_02.csv"):
+        assert ((runs["seeded"] / name).read_bytes()
+                == (runs["plain"] / name).read_bytes()), name
 
 
 @pytest.mark.parametrize(

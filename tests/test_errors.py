@@ -1,22 +1,24 @@
 """Every setting that enters the library is checked by one rule per kind,
 else InvalidArgumentError names the field: a count or seed must be an int
 at or above its floor, a real setting a finite number at or above (or, for
-a strict floor, above) its floor, a switch a bool, and a text setting a
-str, one of its choices where it has them. A bool is not a number, and a
-string is neither. The last tables reach every other rejection once."""
+a strict floor, above) its floor, a switch a bool, a text setting a str,
+one of its choices where it has them, and a library-object setting an
+instance of its class. A bool is not a number, and a string is neither.
+The last tables reach every other rejection once."""
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pinvnet.activations import ActivationKind, invert, parse_kind
-from pinvnet.analysis import VarianceConfig, solution_count
+from pinvnet.activations import ActivationKind, apply, format_kind, invert, parse_kind
+from pinvnet.analysis import VarianceConfig, mc_output_variance, solution_count
 from pinvnet.datasets import (CvPlan, Dataset, accuracy, cv_search, gen_regression,
                               gen_spiral, load_csv, stratified_kfold, training_targets)
 from pinvnet.errors import CsvParseError, DomainViolationError, InvalidArgumentError
-from pinvnet.linalg import PinvOptions, penrose_residual, sse
+from pinvnet.linalg import PinvOptions, penrose_residual, pinv, sse
 from pinvnet.network import (NetworkSpec, WeightSet, build_spec, forward, hidden_activation,
                              parse_structure)
 from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
@@ -229,6 +231,112 @@ def test_a_named_label_column_must_be_a_header_name(tmp_path):
         load_csv(path, "g", header=True)
 
 
+SPEC = NetworkSpec(2, (3, 2), SP)
+FULL = WeightSet([np.ones((3, 3)), np.ones((3, 2))])
+DS = Dataset(np.arange(12.0).reshape(6, 2), np.ones((6, 1)))
+CFG = TrainConfig(InitScheme.random(0))
+X = np.ones((4, 2))
+
+
+def _ordered(v):
+    return InitScheme.random(solve_order=v)
+
+
+def _labelled(v):
+    return Dataset(np.zeros((2, 1)), np.eye(2), v, "classification")
+
+
+def _typed(field, cls, call, look_alike):
+    """A TYPES row for a setting that must be a `cls`: None, and a look-alike
+    of another type, are rejected."""
+    return field, f"a {cls.__name__}", call, (None, look_alike)
+
+
+# (field as the message names it, what it must be, a call that passes value
+# there, the bad values): each library-object setting is called with None
+# and with its variant's string, a dict of its fields or a list of its
+# weight arrays; then the values a data_matrix scheme does not read, solve
+# orders that are not ints, and class labels that are not a sequence of str
+TYPES = {
+    "NetworkSpec.activation": _typed("activation", ActivationKind,
+                                     lambda v: NetworkSpec(2, (3,), v), "softplus08"),
+    "VarianceConfig.activation": _typed("activation", ActivationKind,
+                                        lambda v: VarianceConfig(activation=v), "exp_scaled"),
+    "TrainConfig.init": _typed("init", InitScheme, TrainConfig,
+                               asdict(InitScheme.random(0))),
+    "TrainConfig.pinv_opts": _typed("pinv_opts", PinvOptions,
+                                    lambda v: TrainConfig(InitScheme.random(0), v),
+                                    asdict(PinvOptions())),
+    "train.spec": _typed("spec", NetworkSpec, lambda v: train(v, X, X, CFG), asdict(SPEC)),
+    "train.cfg": _typed("cfg", TrainConfig, lambda v: train(SPEC, X, X, v), asdict(CFG)),
+    "hidden_activation.spec": _typed("spec", NetworkSpec,
+                                     lambda v: hidden_activation(v, FULL, X, 1), asdict(SPEC)),
+    "hidden_activation.w": _typed("w", WeightSet, lambda v: hidden_activation(SPEC, v, X, 1),
+                                  [w.array for w in FULL.weights]),
+    "forward.spec": _typed("spec", NetworkSpec, lambda v: forward(v, FULL, X), asdict(SPEC)),
+    "forward.w": _typed("w", WeightSet, lambda v: forward(SPEC, v, X),
+                        [w.array for w in FULL.weights]),
+    "cv_search.ds": _typed("ds", Dataset,
+                           lambda v: cv_search(v, ["h-q"], [2], CvPlan(2, 1, 0), CFG, SP),
+                           {"x": DS.x, "y": DS.y}),
+    "cv_search.plan": _typed("plan", CvPlan,
+                             lambda v: cv_search(DS, ["h-q"], [2], v, CFG, SP),
+                             asdict(CvPlan(2, 1, 0))),
+    "cv_search.cfg": _typed("cfg", TrainConfig,
+                            lambda v: cv_search(DS, ["h-q"], [2], CvPlan(2, 1, 0), v, SP),
+                            asdict(CFG)),
+    "cv_search.activation": _typed(
+        "activation", ActivationKind,
+        lambda v: cv_search(DS, ["h-q"], [2], CvPlan(2, 1, 0), CFG, v), "softplus08"),
+    "stratified_kfold.ds": _typed("ds", Dataset,
+                                  lambda v: stratified_kfold(v, CvPlan(2, 1, 0)),
+                                  {"x": DS.x, "y": DS.y}),
+    "stratified_kfold.plan": _typed("plan", CvPlan, lambda v: stratified_kfold(DS, v),
+                                    asdict(CvPlan(2, 1, 0))),
+    "mc_output_variance.cfg": _typed("cfg", VarianceConfig, mc_output_variance,
+                                     asdict(VarianceConfig(trials=2))),
+    "pinv.opts": _typed("opts", PinvOptions, lambda v: pinv(np.eye(2), v),
+                        asdict(PinvOptions())),
+    "apply.kind": _typed("kind", ActivationKind, lambda v: apply(v, Y), "softplus08"),
+    "invert.kind": _typed("kind", ActivationKind, lambda v: invert(v, Y), "softplus08"),
+    "format_kind.kind": _typed("kind", ActivationKind, format_kind, "softplus08"),
+    "InitScheme.data_matrix_seed": ("seed", "0 under data_matrix init",
+                                    lambda v: InitScheme("data_matrix", seed=v), (5,)),
+    "InitScheme.data_matrix_scale_c": ("scale_c", "1.0 under data_matrix init",
+                                       lambda v: InitScheme("data_matrix", scale_c=v),
+                                       (3.0,)),
+    "InitScheme.solve_order_bool_first": ("solve_order[0]", "an int >= 1", _ordered,
+                                          ((True, 2),)),
+    "InitScheme.solve_order_bool_second": ("solve_order[1]", "an int >= 1", _ordered,
+                                           ((2, True),)),
+    "InitScheme.solve_order_floats": ("solve_order[0]", "an int >= 1", _ordered,
+                                      ((1.0, 2.0),)),
+    "InitScheme.solve_order_text": ("solve_order[0]", "an int >= 1", _ordered,
+                                    (("2", "1"),)),
+    "Dataset.class_labels_text": ("class_labels", "a non-empty sequence of str", _labelled,
+                                  ("ab",)),
+    "Dataset.class_labels_ints": ("class_labels[0]", "text", _labelled, ((1, 2),)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, bad, id=f"{entry}-{type(bad).__name__}")
+    for entry in TYPES for bad in TYPES[entry][3]])
+def test_a_setting_of_the_wrong_type_or_unread_is_rejected_by_name(entry, bad):
+    field, what, call, _ = TYPES[entry]
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{re.escape(field)} must be {re.escape(what)}, got "):
+        call(bad)
+
+
+def test_what_each_scheme_reads_passes_and_class_labels_become_a_tuple():
+    assert InitScheme("data_matrix", np.int64(0), 1).scale_c == 1
+    assert InitScheme.random(solve_order=[np.int64(2), 1]).solve_order == (2, 1)
+    labels = Dataset(np.zeros((2, 1)), np.eye(2), ["a", np.str_("b")],
+                     "classification").class_labels
+    assert labels == ("a", "b") and type(labels) is tuple
+
+
 # a set or dict would let the tie-break read hash order
 @pytest.mark.parametrize("bad", ["h-q", "", [], (), pytest.param(b"h-q", id="bytes"),
                                  None, {"h-q"}, frozenset({"h-q"}), {"h-q": 1},
@@ -287,9 +395,6 @@ def _csv(tmp_path, text):
     path.write_text(text)
     return path
 
-
-SPEC = NetworkSpec(2, (3, 2), SP)
-FULL = WeightSet([np.ones((3, 3)), np.ones((3, 2))])
 
 # (exception, message pattern, a call that must raise it): each rejection
 # of a value's shape or content, by the message no other test pins
