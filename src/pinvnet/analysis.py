@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from .activations import ActivationKind, _apply
-from .errors import InvalidArgumentError, _check_int, _check_real, _check_type
+from .errors import InvalidArgumentError, _check_int, _check_real, _check_sequence, _check_type
 from .linalg import _DEFAULT_OPTS, _truncated_pinv, _write_csv
 
 __all__ = [
@@ -42,11 +42,11 @@ class VarianceConfig:
         for name in ("m", "d", "trials", "max_depth"):
             _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
-        try:
-            lo, hi = self.input_range
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(
-                f"input_range must be a pair lo, hi, got {self.input_range!r}") from None
+        pair = _check_sequence("input_range", self.input_range, "two numbers")
+        if len(pair) != 2:
+            raise InvalidArgumentError(f"input_range must be a pair lo, hi, got {pair!r}")
+        object.__setattr__(self, "input_range", pair)
+        lo, hi = pair
         _check_real("input_range[0]", lo)
         _check_real("input_range[1]", hi)
         # the draws span [lo, hi], whose width hi - lo must be finite too
@@ -142,5 +142,6 @@ def solution_count(n: int) -> Tuple[int, int]:
 
 def write_variance_csv(report: VarianceReport, path) -> None:
     """depth,mean,std per line, 17 significant digits, no header."""
+    _check_type("report", report, VarianceReport)
     rows = np.column_stack([report.per_depth_mean, report.per_depth_std])
     _write_csv(path, np.column_stack([np.arange(1, len(rows) + 1), rows]))

@@ -441,7 +441,7 @@ def cmd_variance(args) -> int:
     cfg = VarianceConfig(
         m=opts.m,
         d=opts.d,
-        input_range=tuple(opts.range),
+        input_range=opts.range,
         noise_scale=opts.noise_scale,
         trials=opts.trials,
         max_depth=opts.max_depth,

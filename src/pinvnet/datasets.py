@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, abc
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -11,8 +11,8 @@ import numpy as np
 
 from .activations import ActivationKind
 from .errors import (CsvParseError, InvalidArgumentError, _check_bool, _check_int,
-                     _check_real, _check_text, _check_type)
-from .linalg import _write_csv, as_array, sse
+                     _check_real, _check_sequence, _check_text, _check_type)
+from .linalg import _PATH, _write_csv, as_array, sse
 from .network import NetworkSpec, forward
 from .parallel import map_jobs
 from .training import TrainConfig, train
@@ -54,10 +54,10 @@ class Dataset:
         if self.x.shape[0] != self.y.shape[0]:
             raise InvalidArgumentError("x and y must have the same row count")
         if self.class_labels is not None:
-            _check_sequence("class_labels", self.class_labels, "str")
+            object.__setattr__(self, "class_labels",
+                               _check_sequence("class_labels", self.class_labels, "str"))
             for i, label in enumerate(self.class_labels):
                 _check_text(f"class_labels[{i}]", label)
-            object.__setattr__(self, "class_labels", tuple(self.class_labels))
             if len(self.class_labels) != self.y.shape[1]:
                 raise InvalidArgumentError("class_labels length must equal y's column count")
         if self.kind == "classification":
@@ -196,6 +196,7 @@ def load_csv(path, label_column=-1, header: bool = False,
     label cell parses as a float, over all data rows, and classification
     otherwise.
     """
+    _check_type("path", path, _PATH)
     _check_bool("header", header)
     _check_text("missing_policy", missing_policy, ("drop", "mean-impute"))
     _check_text("kind", kind, ("classification", "regression", "auto"))
@@ -342,6 +343,7 @@ def accuracy(pred, truth: Dataset) -> float:
     """Fraction of rows whose argmax matches the encoded class; numpy's
     argmax breaks ties toward the lowest index."""
     p = as_array(pred, "pred")
+    _check_type("truth", truth, Dataset)
     if p.shape != truth.y.shape:
         raise InvalidArgumentError(
             f"prediction shape {p.shape} != target shape {truth.y.shape}"
@@ -376,6 +378,7 @@ def training_targets(ds: Dataset, linear_output: bool) -> np.ndarray:
     to 0.9/0.1 when the output activation must be inverted, raw otherwise.
     The encoding keeps every column of ds.y, so a subset that misses a
     class still has one target column per output unit."""
+    _check_type("ds", ds, Dataset)
     _check_bool("linear_output", linear_output)
     if ds.kind == "classification" and not linear_output:
         y = np.full(ds.y.shape, 0.1)
@@ -475,17 +478,6 @@ def _outer_fold(ds: Dataset, candidates, plan: CvPlan, cfg: TrainConfig,
     return (tmpl, h), _fit_score(fold, spec, cfg)
 
 
-def _check_sequence(name, value, what):
-    """Raise InvalidArgumentError naming `name` unless value is a non-empty
-    sequence or 1-D array: not text, which would read per character, and
-    not a set, whose order the tie-break would read."""
-    if (isinstance(value, (str, bytes))
-            or not isinstance(value, (abc.Sequence, np.ndarray))
-            or getattr(value, "ndim", 1) != 1 or len(value) == 0):
-        raise InvalidArgumentError(
-            f"{name} must be a non-empty sequence of {what}, got {value!r}")
-
-
 def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
               plan: CvPlan, cfg: TrainConfig, activation: ActivationKind,
               linear_output: bool = False) -> CvResult:
@@ -524,8 +516,8 @@ def cv_search(ds: Dataset, templates: Sequence[str], h_grid: Sequence[int],
     _check_type("plan", plan, CvPlan)
     _check_type("cfg", cfg, TrainConfig)
     _check_type("activation", activation, ActivationKind)
-    _check_sequence("h_grid", h_grid, "ints")
-    _check_sequence("templates", templates, "templates")
+    h_grid = _check_sequence("h_grid", h_grid, "ints")
+    templates = _check_sequence("templates", templates, "templates")
     for tmpl in templates:
         _check_text("template", tmpl)
     templates = list(dict.fromkeys(map(str, templates)))
@@ -571,6 +563,7 @@ def _csv_field(text: str) -> str:
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Features at full precision plus a trailing label column (class name
     for classification, numeric target otherwise). No header."""
+    _check_type("ds", ds, Dataset)
     if ds.kind == "regression":
         _write_csv(path, np.hstack([ds.x, ds.y]))
     else:

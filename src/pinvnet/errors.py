@@ -1,11 +1,13 @@
 """Shared exception types, and the one check of each kind of setting: an
-int, a real number, a switch, text (maybe one of a set of choices) and a
-library object of one class. A bad value raises InvalidArgumentError, a
-ValueError naming its field; the CLI maps it and CsvParseError to exit 2,
-DomainViolationError and the other PinvnetErrors to exit 1."""
+int, a real number, a switch, text (maybe one of a set of choices), a
+library object of one class or a few, and a sequence. A bad value raises
+InvalidArgumentError, a ValueError naming its field; the CLI maps it and
+CsvParseError to exit 2, DomainViolationError and the other PinvnetErrors
+to exit 1."""
 
 import math
 import numbers
+from collections import abc
 
 import numpy as np
 
@@ -86,6 +88,21 @@ def _check_text(name, value, choices=None):
 
 
 def _check_type(name, value, cls):
-    """Raise InvalidArgumentError naming `name` unless value is a `cls`."""
+    """Raise InvalidArgumentError naming `name` unless value is a `cls`
+    (for a tuple of classes, an instance of one of them)."""
     if not isinstance(value, cls):
-        raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
+        what = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise InvalidArgumentError(f"{name} must be a {what}, got {value!r}")
+
+
+def _check_sequence(name, value, what):
+    """value as a tuple, or InvalidArgumentError naming `name` unless it is
+    a non-empty sequence or 1-D array of `what`: not text, which would read
+    per character, and not a set or an iterator, whose order is arbitrary
+    or spent once read. The entries are the caller's to check."""
+    if (isinstance(value, (str, bytes))
+            or not isinstance(value, (abc.Sequence, np.ndarray))
+            or getattr(value, "ndim", 1) != 1 or len(value) == 0):
+        raise InvalidArgumentError(
+            f"{name} must be a non-empty sequence of {what}, got {value!r}")
+    return tuple(value)

@@ -7,6 +7,7 @@ cannot express.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import InvalidArgumentError, _check_real, _check_type
 
 _EPS = float(np.finfo(np.float64).eps)
+_PATH = (str, bytes, os.PathLike)  # a CSV path; `open` would take an int as a descriptor
 
 __all__ = [
     "Matrix",
@@ -55,10 +57,15 @@ class Matrix:
 
 
 def as_array(a, name="matrix") -> np.ndarray:
-    """Validate a Matrix or array-like into a finite 2-D float64 ndarray."""
+    """Validate a Matrix or array-like into a finite 2-D float64 ndarray; a
+    value numpy cannot convert is rejected by its type, not its long repr."""
     if isinstance(a, Matrix):
         return a.array
-    arr = np.asarray(a, dtype=np.float64)
+    try:
+        arr = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(
+            f"{name} must be an array of numbers, got a {type(a).__name__}") from None
     if arr.ndim != 2:
         raise InvalidArgumentError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -196,6 +203,7 @@ def write_matrix_csv(a, path) -> None:
 def _write_csv(path, rows: np.ndarray, labels=None) -> None:
     """The one CSV writer: each row of `rows` at 17 significant digits,
     then, when `labels` is given, one text cell per row."""
+    _check_type("path", path, _PATH)
     fmt = "%.17g"
     if labels is not None:
         fmt = [fmt] * rows.shape[1] + ["%s"]

@@ -13,7 +13,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .activations import ActivationKind, _apply
-from .errors import InvalidArgumentError, _check_bool, _check_int, _check_text, _check_type
+from .errors import (InvalidArgumentError, _check_bool, _check_int, _check_sequence,
+                     _check_text, _check_type)
 from .linalg import Matrix, _check_finite, as_array
 
 __all__ = [
@@ -40,14 +41,12 @@ class NetworkSpec:
     receptive_fields: Optional[Tuple[Optional[int], ...]] = None
 
     def __post_init__(self):
-        widths = tuple(self.widths)
-        bands = (tuple(self.receptive_fields) if self.receptive_fields is not None
-                 else (None,) * len(widths))
+        widths = _check_sequence("widths", self.widths, "ints")
+        bands = (_check_sequence("receptive_fields", self.receptive_fields, "odd ints or None")
+                 if self.receptive_fields is not None else (None,) * len(widths))
         _check_int("input_dim", self.input_dim, 1)
         _check_type("activation", self.activation, ActivationKind)
         _check_bool("linear_output", self.linear_output)
-        if not widths:
-            raise InvalidArgumentError("need at least one layer")
         if len(bands) != len(widths):
             raise InvalidArgumentError(
                 f"{len(bands)} receptive fields for {len(widths)} layers")
@@ -78,7 +77,8 @@ class WeightSet:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        self.weights = tuple(Matrix(w, "weight") for w in weights)
+        self.weights = tuple(Matrix(w, "weight")
+                             for w in _check_sequence("weights", weights, "arrays"))
 
     def __len__(self):
         return len(self.weights)

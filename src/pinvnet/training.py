@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .activations import _DEFAULT_MARGIN, _invert_with_count
-from .errors import InvalidArgumentError, _check_int, _check_real, _check_text, _check_type
+from .errors import (InvalidArgumentError, _check_int, _check_real, _check_sequence,
+                     _check_text, _check_type)
 from .linalg import (_DEFAULT_OPTS, PinvOptions, _check_finite, _pinv_array,
                      _pinv_or_inverse, as_array, sse)
 from .network import NetworkSpec, WeightSet, _default_masks, _input_design, _layer_step
@@ -39,8 +40,8 @@ class InitScheme:
     a seeded generator. kind "data_matrix": no randomness, every non-output
     weight is the pseudoinverse of its design matrix (requires all hidden
     widths equal to the sample count), so seed 0, scale_c 1.0 and no
-    solve_order. solve_order None solves layers 1..n in order; a custom
-    order of ints permutes the inner layers only, the output layer last.
+    solve_order. solve_order None solves layers 1..n in order; a sequence
+    of ints permutes the inner layers only, the output layer last.
     """
 
     kind: str = "random"
@@ -59,7 +60,8 @@ class InitScheme:
                         f"{name} must be {unread!r} under data_matrix init, "
                         f"got {getattr(self, name)!r}")
         if self.solve_order is not None:
-            object.__setattr__(self, "solve_order", tuple(self.solve_order))
+            object.__setattr__(self, "solve_order",
+                               _check_sequence("solve_order", self.solve_order, "ints"))
             if self.kind == "data_matrix":
                 raise InvalidArgumentError(
                     "data_matrix init is inherently sequential; no custom order"

@@ -2,10 +2,15 @@
 else InvalidArgumentError names the field: a count or seed must be an int
 at or above its floor, a real setting a finite number at or above (or, for
 a strict floor, above) its floor, a switch a bool, a text setting a str,
-one of its choices where it has them, and a library-object setting an
-instance of its class. A bool is not a number, and a string is neither.
-The last tables reach every other rejection once."""
+one of its choices where it has them, a library-object setting an
+instance of its class, a container setting a non-empty sequence and a path
+a str, bytes or PathLike. A bool is not a number, and a string is neither.
+The last tables reach every other rejection once, and a sweep gives every
+public parameter a stand-in of each kind."""
+import contextlib
+import inspect
 import math
+import os
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -13,12 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pinvnet
+from pinvnet import parallel
 from pinvnet.activations import ActivationKind, apply, format_kind, invert, parse_kind
-from pinvnet.analysis import VarianceConfig, mc_output_variance, solution_count
+from pinvnet.analysis import (VarianceConfig, VarianceReport, mc_output_variance,
+                              solution_count, write_variance_csv)
 from pinvnet.datasets import (CvPlan, Dataset, accuracy, cv_search, gen_regression,
-                              gen_spiral, load_csv, stratified_kfold, training_targets)
-from pinvnet.errors import CsvParseError, DomainViolationError, InvalidArgumentError
-from pinvnet.linalg import PinvOptions, penrose_residual, pinv, sse
+                              gen_spiral, load_csv, stratified_kfold, training_targets,
+                              write_dataset_csv)
+from pinvnet.errors import CsvParseError, DomainViolationError, InvalidArgumentError, PinvnetError
+from pinvnet.linalg import PinvOptions, penrose_residual, pinv, sse, write_matrix_csv
 from pinvnet.network import (NetworkSpec, WeightSet, build_spec, forward, hidden_activation,
                              parse_structure)
 from pinvnet.training import InitScheme, TrainConfig, solve_masked_layer, train
@@ -252,11 +261,26 @@ def _typed(field, cls, call, look_alike):
     return field, f"a {cls.__name__}", call, (None, look_alike)
 
 
+REPORT = VarianceReport((1.0,), (0.0,), (2,))
+# an int path is taken as a file descriptor; this one is far past any this
+# process holds open, so a writer that took it could write nowhere
+FD = 2 ** 30
+PATH = "a str or bytes or PathLike"
+
+
+def _no_sequence(field, what, call, *bad):
+    """A TYPES row for a container setting given a value that is no
+    non-empty sequence: a set, whose order is arbitrary, an empty one, a
+    generator, an array of the wrong rank or a number."""
+    return field, f"a non-empty sequence of {what}", call, bad
+
+
 # (field as the message names it, what it must be, a call that passes value
 # there, the bad values): each library-object setting is called with None
 # and with its variant's string, a dict of its fields or a list of its
 # weight arrays; then the values a data_matrix scheme does not read, solve
-# orders that are not ints, and class labels that are not a sequence of str
+# orders that are not ints, class labels that are not a sequence of str,
+# containers that are no sequence and paths that are no path
 TYPES = {
     "NetworkSpec.activation": _typed("activation", ActivationKind,
                                      lambda v: NetworkSpec(2, (3,), v), "softplus08"),
@@ -316,6 +340,32 @@ TYPES = {
     "Dataset.class_labels_text": ("class_labels", "a non-empty sequence of str", _labelled,
                                   ("ab",)),
     "Dataset.class_labels_ints": ("class_labels[0]", "text", _labelled, ((1, 2),)),
+    "training_targets.ds": _typed("ds", Dataset, lambda v: training_targets(v, False),
+                                  {"x": DS.x, "y": DS.y}),
+    "accuracy.truth": _typed("truth", Dataset, lambda v: accuracy(np.eye(2), v),
+                             {"x": DS.x, "y": DS.y}),
+    "write_dataset_csv.ds": _typed("ds", Dataset, lambda v: write_dataset_csv(v, os.devnull),
+                                   {"x": DS.x, "y": DS.y}),
+    "write_variance_csv.report": _typed("report", VarianceReport,
+                                        lambda v: write_variance_csv(v, os.devnull),
+                                        asdict(REPORT)),
+    "NetworkSpec.widths": _no_sequence("widths", "ints", lambda v: NetworkSpec(2, v, SP),
+                                       {30, 4}),
+    "NetworkSpec.receptive_fields": _no_sequence(
+        "receptive_fields", "odd ints or None",
+        lambda v: NetworkSpec(2, (3, 5), SP, receptive_fields=v), {None, 3}),
+    "InitScheme.solve_order": _no_sequence("solve_order", "ints", _ordered, {3, 1, 2}, (), 5),
+    "VarianceConfig.input_range": _no_sequence(
+        "input_range", "two numbers", lambda v: VarianceConfig(input_range=v), {-5.0, 5.0}),
+    "WeightSet.weights": _no_sequence("weights", "arrays", WeightSet,
+                                      (np.ones((3, 3)) for _ in range(2)),
+                                      np.ones((2, 3, 3))),
+    "load_csv.path": ("path", PATH, load_csv, (None, FD)),
+    "write_matrix_csv.path": ("path", PATH, lambda v: write_matrix_csv(np.ones((1, 2)), v),
+                              (None, FD)),
+    "write_dataset_csv.path": ("path", PATH, lambda v: write_dataset_csv(DS, v), (None, FD)),
+    "write_variance_csv.path": ("path", PATH, lambda v: write_variance_csv(REPORT, v),
+                                (None, FD)),
 }
 
 
@@ -335,6 +385,16 @@ def test_what_each_scheme_reads_passes_and_class_labels_become_a_tuple():
     labels = Dataset(np.zeros((2, 1)), np.eye(2), ["a", np.str_("b")],
                      "classification").class_labels
     assert labels == ("a", "b") and type(labels) is tuple
+
+
+@pytest.mark.parametrize("seq", [range(5, 1, -2), np.array([5, 3]), [5, 3]],
+                         ids=["range", "array", "list"])
+def test_every_container_setting_takes_a_sequence_and_keeps_a_tuple(seq):
+    spec = NetworkSpec(2, seq, SP, receptive_fields=seq)
+    assert spec.widths == spec.receptive_fields == (5, 3)
+    assert InitScheme.random(solve_order=seq).solve_order == (5, 3)
+    assert VarianceConfig(input_range=seq[::-1]).input_range == (3, 5)
+    assert all(type(v) is tuple for v in (spec.widths, spec.receptive_fields))
 
 
 # a set or dict would let the tie-break read hash order
@@ -382,10 +442,14 @@ def test_each_cv_search_template_must_be_text(bad):
         _cv_search(2, ["h-q", bad])
 
 
-@pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0), (1.0,), 5, None])
-def test_an_input_range_that_is_not_a_pair_is_rejected_by_name(bad):
-    with pytest.raises(InvalidArgumentError,
-                       match=r"^input_range must be a pair lo, hi, got "):
+# a sequence of another length is no pair; anything else is no sequence
+@pytest.mark.parametrize("bad, what", [
+    pytest.param((1.0, 2.0, 3.0), "a pair lo, hi", id="bad0"),
+    pytest.param((1.0,), "a pair lo, hi", id="bad1"),
+    pytest.param(5, "a non-empty sequence of two numbers", id="5"),
+    pytest.param(None, "a non-empty sequence of two numbers", id="None")])
+def test_an_input_range_that_is_not_a_pair_is_rejected_by_name(bad, what):
+    with pytest.raises(InvalidArgumentError, match=rf"^input_range must be {what}, got "):
         VarianceConfig(input_range=bad)
     assert VarianceConfig(input_range=np.array([-1.0, 1.0])).input_range[1] == 1.0
 
@@ -456,7 +520,8 @@ REJECTIONS = {
     # NetworkSpec is the one check of what the band masks are built from
     "NetworkSpec.even_band": (InvalidArgumentError, "^receptive field must be odd, got 2$",
                               lambda tmp: build_spec("5^r2-1", 2, SP)),
-    "NetworkSpec.no_layers": (InvalidArgumentError, "^need at least one layer$",
+    "NetworkSpec.no_layers": (InvalidArgumentError,
+                              r"^widths must be a non-empty sequence of ints, got \(\)$",
                               lambda tmp: NetworkSpec(2, (), SP)),
     "NetworkSpec.band_count": (
         InvalidArgumentError, "^1 receptive fields for 2 layers$",
@@ -510,6 +575,13 @@ REJECTIONS = {
                        lambda tmp: sse(np.empty((0, 3)), np.ones((1, 3)))),
     "as_array.finite": (InvalidArgumentError, "^x_raw entries must be finite$",
                         lambda tmp: forward(SPEC, FULL, [[1.0, np.nan]])),
+    # a value numpy cannot convert is named by its type, not its repr
+    "as_array.set": (InvalidArgumentError, "^g must be an array of numbers, got a set$",
+                     lambda tmp: sse({1, 2}, np.ones((1, 2)))),
+    "as_array.text": (InvalidArgumentError, "^pred must be an array of numbers, got a str$",
+                      lambda tmp: accuracy("ab", CLASSES)),
+    "as_array.ragged": (InvalidArgumentError, "^weight must be an array of numbers, got a list$",
+                        lambda tmp: WeightSet([[[1.0], [1.0, 2.0]]])),
     "sse.shape": (InvalidArgumentError, r"^shape mismatch: \(2, 2\) vs \(2, 3\)$",
                   lambda tmp: sse(np.ones((2, 2)), np.ones((2, 3)))),
     "penrose_residual.shape": (
@@ -523,3 +595,103 @@ def test_every_other_rejection_raises_its_error(tmp_path, entry):
     error, message, call = REJECTIONS[entry]
     with pytest.raises(error, match=message):
         call(tmp_path)
+
+
+# one valid call of each public function and settings class, every
+# parameter given by keyword; a writer's relative path lands in the test's
+# working directory
+VALID = {
+    "ActivationKind": dict(variant="exp_scaled", alpha=0.5),
+    "apply": dict(kind=SP, a=Y),
+    "format_kind": dict(kind=SP),
+    "invert": dict(kind=SP, y=Y, clamp_margin=1e-9),
+    "parse_kind": dict(text="softplus08"),
+    "VarianceConfig": dict(m=4, d=2, input_range=(-5.0, 5.0), noise_scale=1.0, trials=2,
+                           max_depth=2, activation=SP, seed=0),
+    "mc_output_variance": dict(cfg=VarianceConfig(m=4, d=2, trials=2, max_depth=2)),
+    "solution_count": dict(n=3),
+    "write_variance_csv": dict(report=REPORT, path="variance.csv"),
+    "Dataset": dict(x=np.zeros((2, 1)), y=np.eye(2), class_labels=("a", "b"),
+                    kind="classification"),
+    "CvPlan": dict(folds=2, trials=1, seed=0, stratified=True),
+    "gen_regression": dict(noisy_sets=1, noise_frac=0.1, seed=0),
+    "gen_spiral": dict(arms=2, per_arm=4, noise=0.3, seed=0),
+    "load_csv": dict(path=CSV, label_column=-1, header=False, missing_policy="drop",
+                     kind="classification"),
+    "stratified_kfold": dict(ds=DS, plan=CvPlan(2, 1, 0)),
+    "accuracy": dict(pred=np.eye(2), truth=CLASSES),
+    "training_targets": dict(ds=CLASSES, linear_output=False),
+    "cv_search": dict(ds=DS, templates=["h-q"], h_grid=[2], plan=CvPlan(2, 1, 0), cfg=CFG,
+                      activation=SP, linear_output=False),
+    "write_dataset_csv": dict(ds=CLASSES, path="data.csv"),
+    "PinvOptions": dict(tolerance=None, ridge=0.0),
+    "pinv": dict(a=np.eye(2), opts=PinvOptions()),
+    "penrose_residual": dict(a=np.eye(2), a_dag=np.eye(2)),
+    "sse": dict(g=Y, y=Y),
+    "write_matrix_csv": dict(a=Y, path="matrix.csv"),
+    "NetworkSpec": dict(input_dim=2, widths=(3, 2), activation=SP, linear_output=False,
+                        receptive_fields=(None, 3)),
+    "WeightSet": dict(weights=FULL.weights),
+    "forward": dict(spec=SPEC, w=FULL, x_raw=X),
+    "hidden_activation": dict(spec=SPEC, w=FULL, x_raw=X, upto_layer=1),
+    "parse_structure": dict(text="3^r3-1"),
+    "build_spec": dict(structure="3^r3-1", input_dim=2, activation=SP, linear_output=False),
+    "InitScheme": dict(kind="random", seed=0, scale_c=1.0, solve_order=(1,)),
+    "TrainConfig": dict(init=InitScheme.random(0), pinv_opts=PinvOptions(),
+                        clamp_margin=1e-9),
+    "train": dict(spec=SPEC, x_raw=X, y=X, cfg=CFG),
+}
+# the exception classes, the result records, and Matrix, which is to go
+NOT_SWEPT = {"PinvnetError", "InvalidArgumentError", "DomainViolationError",
+             "CsvParseError", "CvResult", "VarianceReport", "TrainReport", "Matrix",
+             "__version__"}
+# stand-ins for a parameter: the first must raise a PinvnetError, the rest
+# may also return
+MUST_RAISE = {"set": lambda: {1, 2}, "object": object}
+MAY_RETURN = {"None": lambda: None, "int": lambda: 5, "text": lambda: "ab",
+              "float": lambda: 2.5, "nested list": lambda: [[1]]}
+
+
+def _leak(call, kwargs, param, stand_in):
+    """None if the call raises a PinvnetError, "returned" if it returns,
+    else the name of the error that leaked; a text path that does not
+    exist may raise FileNotFoundError."""
+    try:
+        call(**kwargs)
+    except PinvnetError:
+        return None
+    except FileNotFoundError:
+        return None if param == "path" and isinstance(stand_in, str) else "FileNotFoundError"
+    except Exception as exc:  # noqa: BLE001 - the leak is the finding
+        return type(exc).__name__
+    return "returned"
+
+
+def test_every_public_callable_has_one_valid_call_giving_each_parameter():
+    swept = {name for name in pinvnet.__all__ if name not in NOT_SWEPT}
+    assert swept == set(VALID)
+    for name, kwargs in VALID.items():
+        assert list(kwargs) == list(inspect.signature(getattr(pinvnet, name)).parameters), name
+
+
+def test_no_public_parameter_leaks_a_non_library_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+    leaks = []
+    for name, kwargs in VALID.items():
+        call = getattr(pinvnet, name)
+        call(**kwargs)
+        for param in kwargs:
+            for kind, make in {**MUST_RAISE, **MAY_RETURN}.items():
+                # an int path is a descriptor: hand over one this test owns
+                fds = os.pipe() if param == "path" and kind == "int" else ()
+                stand_in = fds[1] if fds else make()
+                try:
+                    got = _leak(call, {**kwargs, param: stand_in}, param, stand_in)
+                finally:
+                    for fd in fds:  # an end the call closed is already gone
+                        with contextlib.suppress(OSError):
+                            os.close(fd)
+                if got is not None and not (got == "returned" and kind in MAY_RETURN):
+                    leaks.append(f"{name}({param}={kind}): {got}")
+    assert not leaks, "\n".join(leaks)
