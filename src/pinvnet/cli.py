@@ -3,8 +3,8 @@
 Subcommands: train, cv, synth, variance, selfcheck. Structured reports go
 to --out as JSON/CSV; every run also writes a manifest echoing the fully
 resolved configuration, so a run is reproducible from its manifest alone.
-All file artifacts are byte-stable for a fixed seed; timing is printed to
-stderr only.
+All file artifacts are byte-stable for a fixed seed; every run prints its
+elapsed time to stderr only.
 
 A JSON config file (--config) may supply any option by its long name with
 dashes replaced by underscores; explicit command line flags win. Each
@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -153,13 +154,28 @@ def _range(value, flag):
     return lo_hi
 
 
-def _seed(value, flag):
-    seed = _int(value, flag)
-    _check_int(flag, seed, 0)
-    return seed
+def _int_from(low):
+    """A converter to an int >= low."""
+    def convert(value, flag):
+        number = _int(value, flag)
+        _check_int(flag, number, low)
+        return number
+    return convert
 
 
-_SEED = Option("seed", 0, _seed)
+def _shape(value, flag):
+    """Text like 200x100, as the pair (200, 100)."""
+    _text(value, flag)
+    try:
+        m, n = map(int, value.lower().split("x"))
+    except ValueError:
+        m = n = 0
+    if m < 1 or n < 1:
+        raise InvalidArgumentError(f"{flag} must look like 200x100, got {value!r}")
+    return m, n
+
+
+_SEED = Option("seed", 0, _int_from(0))
 _OUT = Option("out", ".", _text)
 _DATA = (
     Option("data", None, _text, "dataset CSV path"),
@@ -223,8 +239,8 @@ _VARIANCE = (
     _OUT,
 )
 _SELFCHECK = (
-    Option("shapes", "200x100", _text, "max shape like 200x100"),
-    Option("count", 100, _int),
+    Option("shapes", "200x100", _shape, "max shape like 200x100"),
+    Option("count", 100, _int_from(1)),
     _SEED,
 )
 
@@ -331,19 +347,12 @@ def _load_dataset(opts):
         label = int(label)
     except ValueError:
         pass  # a column name
-    return load_csv(
-        opts.data,
-        label_column=label,
-        header=opts.header,
-        missing_policy=opts.missing,
-        kind=opts.task,
-    )
+    return load_csv(opts.data, label_column=label, header=opts.header,
+                    missing_policy=opts.missing, kind=opts.task)
 
 
-def cmd_train(args) -> int:
-    opts, echo = _resolve(args)
+def cmd_train(opts, echo):
     _require(opts, "data", "structure")
-    t0 = time.perf_counter()
     ds = _load_dataset(opts)
     activation = parse_kind(opts.activation)
     spec = build_spec(opts.structure, ds.x.shape[1], activation,
@@ -378,18 +387,14 @@ def cmd_train(args) -> int:
     if opts.dump_weights:
         files.update((f"weights_{k:02d}.csv", (write_matrix_csv, w.array))
                      for k, w in enumerate(report.weights.weights, start=1))
-    _write_artifacts(opts.out, "train", echo, files)
-    print(f"train_sse {report.train_sse!r}")
+    lines = [f"train_sse {report.train_sse!r}"]
     if "train_accuracy" in body:
-        print(f"train_accuracy {body['train_accuracy']!r}")
-    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return 0
+        lines.append(f"train_accuracy {body['train_accuracy']!r}")
+    return files, lines, 0
 
 
-def cmd_cv(args) -> int:
-    opts, echo = _resolve(args)
+def cmd_cv(opts, echo):
     _require(opts, "data")
-    t0 = time.perf_counter()
     ds = _load_dataset(opts)
     if ds.kind == "regression" and opts.stratified:
         print("warning: stratification needs class labels; "
@@ -410,16 +415,12 @@ def cmd_cv(args) -> int:
         "selections": [list(s) for s in result.selections],
         "score_kind": "accuracy" if ds.kind == "classification" else "neg_sse",
     }
-    _write_artifacts(opts.out, "cv", echo, {"cv_report.json": body})
-    print(f"selected_h {result.h}")
-    print(f"mean_accuracy {result.mean_accuracy!r}")
-    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return 0
+    return ({"cv_report.json": body},
+            [f"selected_h {result.h}", f"mean_accuracy {result.mean_accuracy!r}"], 0)
 
 
-def cmd_synth(args) -> int:
-    opts, echo = _resolve(args)
-    if args.generator == "spiral":
+def cmd_synth(generator, opts, echo):
+    if generator == "spiral":
         train_ds, test_ds = gen_spiral(opts.arms, opts.per_arm, opts.noise,
                                        opts.seed)
         files = {"spiral_train.csv": train_ds, "spiral_test.csv": test_ds}
@@ -429,46 +430,21 @@ def cmd_synth(args) -> int:
         files = {f"train_{k:02d}.csv": ds for k, ds in enumerate(trains)}
         files["test.csv"] = test
         lines = [f"train files {len(trains)}", f"test.csv rows {test.x.shape[0]}"]
-    _write_artifacts(opts.out, f"synth {args.generator}", echo,
-                     {name: (write_dataset_csv, ds) for name, ds in files.items()})
-    print("\n".join(lines))
-    return 0
+    return {name: (write_dataset_csv, ds) for name, ds in files.items()}, lines, 0
 
 
-def cmd_variance(args) -> int:
-    opts, echo = _resolve(args)
-    t0 = time.perf_counter()
-    cfg = VarianceConfig(
-        m=opts.m,
-        d=opts.d,
-        input_range=opts.range,
-        noise_scale=opts.noise_scale,
-        trials=opts.trials,
-        max_depth=opts.max_depth,
-        activation=parse_kind(opts.activation),
-        seed=opts.seed,
-    )
-    report = mc_output_variance(cfg)
-    _write_artifacts(opts.out, "variance", echo,
-                     {"variance.csv": (write_variance_csv, report)})
-    for k, mean in enumerate(report.per_depth_mean, start=1):
-        print(f"depth {k} mean {mean!r}")
-    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return 0
+def cmd_variance(opts, echo):
+    report = mc_output_variance(VarianceConfig(
+        m=opts.m, d=opts.d, input_range=opts.range, noise_scale=opts.noise_scale,
+        trials=opts.trials, max_depth=opts.max_depth,
+        activation=parse_kind(opts.activation), seed=opts.seed))
+    return ({"variance.csv": (write_variance_csv, report)},
+            [f"depth {k} mean {mean!r}"
+             for k, mean in enumerate(report.per_depth_mean, start=1)], 0)
 
 
-def cmd_selfcheck(args) -> int:
-    opts, _ = _resolve(args)
-    try:
-        mtext, ntext = opts.shapes.lower().split("x")
-        max_m, max_n = int(mtext), int(ntext)
-    except ValueError:
-        max_m = max_n = 0
-    if max_m < 1 or max_n < 1:
-        raise InvalidArgumentError(
-            f"--shapes must look like 200x100, got {opts.shapes!r}"
-        )
-    _check_int("--count", opts.count, 1)
+def cmd_selfcheck(opts, echo):
+    max_m, max_n = opts.shapes
     rng = np.random.default_rng(opts.seed)
     worst_penrose = 0.0
     worst_oracle = 0.0
@@ -496,16 +472,16 @@ def cmd_selfcheck(args) -> int:
             worst_oracle = max(worst_oracle, rel)
             if rel > 1e-8:
                 failures += 1
-    print(f"checks {opts.count}")
-    print(f"worst_penrose_residual {worst_penrose!r}")
-    print(f"worst_oracle_error {worst_oracle!r}")
-    print("selfcheck " + ("ok" if failures == 0 else f"FAILED ({failures})"))
-    return 0 if failures == 0 else 1
+    lines = [f"checks {opts.count}", f"worst_penrose_residual {worst_penrose!r}",
+             f"worst_oracle_error {worst_oracle!r}",
+             "selfcheck " + ("ok" if failures == 0 else f"FAILED ({failures})")]
+    return None, lines, 0 if failures == 0 else 1
 
 
 def _add_options(parser, options, func):
     """One --flag per option (a switch is store_const, and one that is on
-    by default also gets --no-<name>), plus --config."""
+    by default also gets --no-<name>), plus --config. The run's name, as
+    the manifest gives it, is the subcommand's words: "synth spiral"."""
     for opt in options:
         flag = _flag(opt.name)
         if opt.convert is _switch:
@@ -520,7 +496,7 @@ def _add_options(parser, options, func):
                 flag, dest=opt.name, help=opt.help,
                 metavar="{%s}" % ",".join(choices) if choices else None)
     parser.add_argument("--config", help="JSON file of option values")
-    parser.set_defaults(func=func, options=options)
+    parser.set_defaults(func=func, options=options, name=parser.prog.split(" ", 1)[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                  _CV, cmd_cv)
     gen = sub.add_parser("synth", help="write synthetic datasets").add_subparsers(
         dest="generator", required=True)
-    _add_options(gen.add_parser("spiral"), _SPIRAL, cmd_synth)
-    _add_options(gen.add_parser("regression"), _REGRESSION, cmd_synth)
+    for generator, options in (("spiral", _SPIRAL), ("regression", _REGRESSION)):
+        _add_options(gen.add_parser(generator), options, partial(cmd_synth, generator))
     _add_options(sub.add_parser("variance", help="output-variance Monte Carlo study"),
                  _VARIANCE, cmd_variance)
     _add_options(sub.add_parser("selfcheck", help="randomized pseudoinverse checks"),
@@ -550,13 +526,19 @@ def _fail(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: resolve its options, let it compute, write its
+    artifacts, and only then print its stdout lines (so a run that fails
+    on a non-finite artifact prints none) and its elapsed time to stderr."""
+    args = build_parser().parse_args(argv)
     try:
         # an overflow or the nan it leads to fails with one JSON line below;
         # numpy's warnings add nothing, here or in cv's workers
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            opts, echo = _resolve(args)
+            t0 = time.perf_counter()
+            files, lines, status = args.func(opts, echo)
+            if files is not None:
+                _write_artifacts(opts.out, args.name, echo, files)
     except FileNotFoundError as exc:
         _fail("file-not-found", exc)
         return 2
@@ -569,6 +551,10 @@ def main(argv=None) -> int:
     except PinvnetError as exc:
         _fail("error", exc)
         return 1
+    for line in lines:
+        print(line)
+    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

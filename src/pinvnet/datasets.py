@@ -82,7 +82,17 @@ class Dataset:
         return (Dataset, (self.x, self.y, self.class_labels, self.kind))
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """The rows at indices, a non-empty 1-D int array or sequence of row
+        numbers 0..m-1 (no bools, floats or negative numbers)."""
+        try:
+            idx = np.asarray(indices)
+        except (TypeError, ValueError):  # a ragged nesting, rejected below
+            idx = np.asarray(None)
+        m = len(self.x)
+        if not (idx.ndim == 1 and idx.size and np.issubdtype(idx.dtype, np.integer)
+                and idx.min() >= 0 and idx.max() < m):
+            raise InvalidArgumentError(f"indices must be a non-empty 1-D sequence of "
+                                       f"ints in 0..{m - 1}, got a {type(indices).__name__}")
         return Dataset(self.x[idx], self.y[idx], self.class_labels, self.kind)
 
 

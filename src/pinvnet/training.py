@@ -93,7 +93,9 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     """The solved weights, the output's SSE on the training data, and per
-    layer the residual ||A W_k - T_k|| and the entries clamped into T_k."""
+    layer the residual ||A W_k - T_k|| and the entries clamped on the way to
+    T_k, cumulative: those of f's inverse into T_k and of every pull back
+    through the layers after k (a data_matrix hidden layer clamps none)."""
 
     weights: WeightSet
     train_sse: float

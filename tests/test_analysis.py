@@ -171,6 +171,24 @@ def test_depths_past_the_fixed_point_equal_the_f_identity_oracle():
     assert all(np.array_equal(h, f_identity) for h in chain[3:])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_variance_past_full_rank_matches_the_closed_form(seed):
+    # past full rank every trial projects with the one H+ of f(I); with eps
+    # uniform on noise*[-1, 1] and x0 uniform on [lo, hi]^m, independent,
+    # E[(x0^T H+ eps)^2] = noise^2/3 * ((hi-lo)^2/12 ||H+||_F^2 + mu^2 ||H+^T 1||^2)
+    cfg = VarianceConfig(trials=200, seed=seed)
+    lo, hi = cfg.input_range
+    mu = (lo + hi) / 2
+    h_dag = _identity_step(cfg.m, cfg.activation)()[1]
+    exact = cfg.noise_scale ** 2 / 3 * (
+        (hi - lo) ** 2 / 12 * np.sum(h_dag ** 2)
+        + mu ** 2 * np.sum((h_dag.T @ np.ones(cfg.m)) ** 2))
+    report = mc_output_variance(cfg)
+    for k in range(4, 9):
+        sem = report.per_depth_std[k - 1] / np.sqrt(cfg.trials)
+        assert abs(report.per_depth_mean[k - 1] - exact) < 4 * sem, k
+
+
 @pytest.mark.parametrize("rank", [3, 9])
 def test_symmetric_pseudoinverse_satisfies_penrose(rank):
     rng = np.random.default_rng(rank)

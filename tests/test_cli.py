@@ -16,10 +16,11 @@ def _run(capsys, *argv):
 
 
 @pytest.fixture()
-def spiral_csv(tmp_path):
+def spiral_csv(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["synth", "spiral", "--arms", "3", "--per-arm", "20",
                  "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()  # the test reads only its own run's output
     return out / "spiral_train.csv"
 
 
@@ -230,6 +231,72 @@ def test_selfcheck_passes_clean_and_catches_injected_fault(capsys, monkeypatch):
                            "--count", "12", "--seed", "3")
     assert code == 1
     assert "FAILED" in stdout
+
+
+_SOLVER_ECHO = {
+    "activation": "softplus08", "c": 1.0, "clamp_margin": 1e-09,
+    "data": "data/spiral_train.csv", "header": False, "label_column": "-1",
+    "linear_output": False, "missing": "drop", "ridge": 0.0, "task": "auto",
+    "tolerance": "auto",
+}
+
+
+# each run's stdout lines (floats to 1e-9) and manifest, pinned; selfcheck
+# writes no manifest, and its residuals are roundoff, so only their keys
+@pytest.mark.parametrize("argv, stdout, manifest", [
+    (["synth", "spiral", "--arms", "3", "--per-arm", "20", "--seed", "1"],
+     [("spiral_train.csv rows", 30), ("spiral_test.csv rows", 30)],
+     {"artifact_paths": ["spiral_test.csv", "spiral_train.csv"],
+      "command": "synth spiral",
+      "config_echo": {"arms": 3, "noise": 0.3, "per_arm": 20, "seed": 1}, "seed": 1}),
+    (["train", "--data", "data/spiral_train.csv", "--structure", "10-3", "--seed", "7"],
+     [("train_sse", 6.905522374333016), ("train_accuracy", 0.6666666666666666)],
+     {"artifact_paths": ["train_report.json"], "command": "train",
+      "config_echo": {**_SOLVER_ECHO, "dump_weights": False, "init": "random",
+                      "seed": 7, "solve_order": None, "structure": "10-3"},
+      "seed": 7}),
+    (["cv", "--data", "data/spiral_train.csv", "--grid", "2,5", "--folds", "3",
+      "--trials", "1"],
+     [("selected_h", 2), ("mean_accuracy", 0.3333333333333333)],
+     {"artifact_paths": ["cv_report.json"], "command": "cv",
+      "config_echo": {**_SOLVER_ECHO, "folds": 3, "grid": "2,5", "seed": 0,
+                      "stratified": True, "template": "h-q", "trials": 1},
+      "seed": 0}),
+    (["variance", "--m", "12", "--d", "3", "--trials", "5", "--max-depth", "3",
+      "--activation", "identity"],
+     [("depth 1 mean", 0.08953202689007417), ("depth 2 mean", 6.070912055358763),
+      ("depth 3 mean", 6.070912055358767)],
+     {"artifact_paths": ["variance.csv"], "command": "variance",
+      "config_echo": {"activation": "identity", "d": 3, "m": 12, "max_depth": 3,
+                      "noise_scale": 1.0, "range": [-5.0, 5.0], "seed": 0,
+                      "trials": 5},
+      "seed": 0}),
+    (["selfcheck", "--shapes", "20x10", "--count", "6"],
+     [("checks", 6), ("worst_penrose_residual", None), ("worst_oracle_error", None),
+      ("selfcheck", "ok")],
+     None),
+], ids=["synth", "train", "cv", "variance", "selfcheck"])
+def test_every_subcommand_prints_its_lines_and_one_elapsed_line(
+        tmp_path, capsys, monkeypatch, argv, stdout, manifest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "spiral", "--arms", "3", "--per-arm", "20",
+                 "--seed", "1", "--out", "data"]) == 0
+    capsys.readouterr()
+    out = [] if manifest is None else ["--out", "run"]
+    code, printed, stderr = _run(capsys, *argv, *out)
+    assert code == 0
+    assert re.fullmatch(r"elapsed \d+\.\d{3}s\n", stderr)
+    lines = printed.splitlines()
+    assert len(lines) == len(stdout)
+    for line, (key, value) in zip(lines, stdout):
+        head, _, tail = line.rpartition(" ")
+        assert head == key
+        if isinstance(value, float):
+            assert float(tail) == pytest.approx(value, rel=1e-9)
+        elif value is not None:
+            assert tail == str(value)
+    if manifest is not None:
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text()) == manifest
 
 
 @pytest.mark.parametrize(

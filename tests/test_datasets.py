@@ -296,6 +296,18 @@ def test_training_targets_soften_labels_for_invertible_outputs():
                           [[0.1, 0.9, 0.1], [0.1, 0.1, 0.9]])
 
 
+@pytest.mark.parametrize("indices", [
+    [0.5, 1.7], [True, False, True], [5], {0, 1}, object(), [-1], [], [[0, 1]],
+], ids=["floats", "bools", "past-the-end", "set", "object", "negative", "empty",
+        "2-d"])
+def test_subset_takes_only_row_numbers(indices):
+    ds = Dataset(np.eye(3), _encode_targets([0, 1, 2]), None, "classification")
+    with pytest.raises(InvalidArgumentError, match="indices"):
+        ds.subset(indices)
+    picked = ds.subset(np.array([2, 0]))
+    assert np.array_equal(picked.x, [[0, 0, 1], [1, 0, 0]])
+
+
 def test_cv_search_runs_when_a_training_portion_misses_a_class(monkeypatch):
     # the one sample of class 2 is in the test part of one outer fold, so
     # that fold's training portion has no class 2
