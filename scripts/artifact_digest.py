@@ -16,7 +16,10 @@ placeholders are pulled through by LU inverses, `train` with `--ridge`
 default 12-value grid, the benchmark's shape, where the order in which
 inner folds are scored decides how many fits run), a linear-output
 regression `cv` on the synthesized `regression/train_01.csv`, and
-`variance`. Three data_matrix runs on
+`variance`. A `train --header --missing mean-impute` run reads a small CSV
+the script writes itself, whose label column comes first and is named by
+`--label-column`, with a categorical feature and missing feature, category
+and label cells. Three data_matrix runs on
 the 60-row spiral have hidden layers, whose target is I: `60-60-3`,
 `60-60-60-3 --linear-output --tolerance 0` and `60-60-3 --ridge 1e-3`,
 all with `--dump-weights`. They run in a temporary
@@ -86,7 +89,25 @@ RUNS = (
                        "regression", "--linear-output", "--grid", "1,2,3,5,8",
                        "--folds", "4", "--trials", "1"]),
     ("variance", ["variance", "--trials", "40", "--seed", "3"]),
+    ("train_mixed_csv", ["train", "--data", "mixed.csv", "--header", "--label-column",
+                         "species", "--missing", "mean-impute", "--structure", "8-3",
+                         "--dump-weights"]),
 )
+INPUTS = ("iris_like.csv", "mixed.csv")
+
+
+def mixed_csv() -> str:
+    """24 rows under a header: the label, two numeric features with missing
+    cells ("?" and empty) and a categorical one between them; one row
+    misses its category and one its label, so both drop."""
+    lines = ["species,length,colour,width"]
+    for i in range(24):
+        species = "?" if i == 17 else ("setosa", "versicolor", "virginica")[i % 3]
+        length = "?" if i % 7 == 3 else f"{1 + (i * 37 % 11) / 4}"
+        colour = "NA" if i == 10 else ("red", " green", "blue")[i * 5 // 3 % 3]
+        width = "" if i % 5 == 2 else f"{(i * 13 % 9) / 3:.4f}"
+        lines.append(f"{species},{length},{colour},{width}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv) -> int:
@@ -97,6 +118,7 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copy(root / "tests" / "data" / "iris_like.csv", work)
+        (work / "mixed.csv").write_text(mixed_csv(), encoding="utf-8")
         for out, args in RUNS:
             done = subprocess.run(
                 [sys.executable, "-m", "pinvnet.cli", *args, "--out", out],
@@ -106,7 +128,7 @@ def main(argv) -> int:
                 return 1
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             rel = path.relative_to(work).as_posix()
-            if rel != "iris_like.csv":
+            if rel not in INPUTS:
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}")
     return 0
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -520,6 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of the process
+    and reused: a parse leaves it as it was, and returns a new Namespace."""
+    return build_parser()
+
+
 def _fail(kind: str, exc: Exception) -> None:
     print(json.dumps({"error": {"type": kind, "message": str(exc)}}),
           file=sys.stderr)
@@ -529,7 +536,7 @@ def main(argv=None) -> int:
     """Run one subcommand: resolve its options, let it compute, write its
     artifacts, and only then print its stdout lines (so a run that fails
     on a non-finite artifact prints none) and its elapsed time to stderr."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # an overflow or the nan it leads to fails with one JSON line below;
         # numpy's warnings add nothing, here or in cv's workers

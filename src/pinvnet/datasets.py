@@ -174,148 +174,140 @@ def gen_spiral(arms: int, per_arm: int, noise: float = 0.3, seed: int = 0):
         labels[rows] = a
     names = tuple(f"arm{a}" for a in range(arms))
     to_train = np.tile(i % 2 == 1, arms)
-    y = _encode_targets([int(v) for v in labels])
+    y, _ = _encode_targets(labels.tolist())
     train_ds = Dataset(pts[to_train], y[to_train], names, "classification")
     test_ds = Dataset(pts[~to_train], y[~to_train], names, "classification")
     return train_ds, test_ds
 
 
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in _MISSING
-
-
-def _parse_float(cell: str):
+def _read_cell(cell: str):
+    """A stripped cell as None if it is a missing token (in any case), else
+    as its float, else as its text."""
+    if cell.lower() in _MISSING:
+        return None
     try:
         return float(cell)
     except ValueError:
-        return None
+        return cell
 
 
 def load_csv(path, label_column=-1, header: bool = False,
              missing_policy: str = "drop", kind: str = "classification") -> Dataset:
-    """Read a delimited dataset file.
+    """Read a delimited UTF-8 dataset file; a leading byte-order mark is
+    skipped.
 
-    Numeric feature columns are parsed as floats; non-numeric ones are
-    one-hot expanded over their sorted categories. Rows with missing cells
-    (empty, "?", "NA", "NaN") are dropped or mean-imputed per
-    missing_policy; imputation applies to numeric columns only, missing
-    categorical or label cells always drop the row. label_column is an
-    index (negative allowed) or, with header=True, a column name.
-    kind "classification" one-hot encodes the labels; "regression" parses
-    them as float targets; "auto" picks regression when every present
-    label cell parses as a float, over all data rows, and classification
-    otherwise.
+    Each cell is read once, stripped of spaces, as missing (empty, "?",
+    "NA" or "NaN", in any case), a float, or text. A column is numeric
+    when none of its present cells is text; non-numeric feature columns
+    are one-hot expanded over their sorted categories. Rows with missing
+    cells are dropped or mean-imputed per missing_policy; imputation
+    applies to numeric columns only, and missing categorical or label
+    cells always drop the row. A kept number that is not finite ("inf",
+    "1e999", "-nan") raises CsvParseError naming its file line and column,
+    and so does mean-imputing a numeric column none of whose kept cells is
+    present, naming the column (its header name, else its index).
+    label_column is an index (negative allowed) or, with header=True, a
+    column name. kind "classification" one-hot encodes the labels;
+    "regression" parses them as float targets; "auto" picks regression
+    when every present label cell parses as a float, over all data rows,
+    and classification otherwise.
     """
     _check_type("path", path, _PATH)
     _check_bool("header", header)
     _check_text("missing_policy", missing_policy, ("drop", "mean-impute"))
     _check_text("kind", kind, ("classification", "regression", "auto"))
-    rows: List[List[str]] = []
+    rows: List[List[str]] = []  # the stripped cells of each data row
+    cells: List[list] = []  # the same cells, each read once by _read_cell
     line_nos: List[int] = []  # the 1-based file line of each data row
     names: Optional[List[str]] = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             # the file line the record ends on, also past quoted newlines
             line_no = reader.line_num
             if not row:
                 continue
+            row = [c.strip() for c in row]
             if header and names is None:
-                names = [c.strip() for c in row]
+                names = row
                 continue
-            rows.append([c.strip() for c in row])
+            if rows and len(row) != len(rows[0]):
+                raise CsvParseError(f"line {line_no}: expected {len(rows[0])} fields, "
+                                    f"got {len(row)}", line=line_no)
+            rows.append(row)
+            cells.append([_read_cell(c) for c in row])
             line_nos.append(line_no)
-            if len(rows[0]) != len(row):
-                raise CsvParseError(
-                    f"line {line_no}: expected {len(rows[0])} fields, got {len(row)}",
-                    line=line_no,
-                )
     if not rows:
         raise CsvParseError("no data rows", line=1)
     ncols = len(rows[0])
     if names is not None and len(names) != ncols:
         raise CsvParseError("header width does not match data width", line=1)
+    if ncols < 2:
+        raise CsvParseError(f"line {line_nos[0]}: expected at least 2 fields, got 1",
+                            line=line_nos[0])
 
     if isinstance(label_column, str):
         if names is None:
-            raise InvalidArgumentError(
-                "label_column by name requires header=True"
-            )
+            raise InvalidArgumentError("label_column by name requires header=True")
         _check_text("label_column", label_column, names)
         label_idx = names.index(label_column)
     else:
         _check_int("label_column", label_column)
         if not -ncols <= label_column < ncols:
-            raise InvalidArgumentError(
-                f"label column {label_column} out of range for {ncols} columns"
-            )
+            raise InvalidArgumentError(f"label column {label_column} out of range "
+                                       f"for {ncols} columns")
         label_idx = int(label_column) % ncols
 
     feat_idx = [j for j in range(ncols) if j != label_idx]
-
-    # a column is numeric iff every present cell parses as float
-    numeric = [
-        all(_is_missing(r[j]) or _parse_float(r[j]) is not None for r in rows)
-        for j in range(ncols)
-    ]
+    numeric = [not any(isinstance(v, str) for v in col) for col in zip(*cells)]
     if kind == "auto":
         kind = "regression" if numeric[label_idx] else "classification"
-
-    kept: List[List[str]] = []
-    kept_lines: List[int] = []
-    for r, line_no in zip(rows, line_nos):
-        hard_missing = _is_missing(r[label_idx]) or any(
-            _is_missing(r[j]) and not numeric[j] for j in feat_idx
-        )
-        if hard_missing:
-            continue
-        if missing_policy == "drop" and any(_is_missing(r[j]) for j in feat_idx):
-            continue
-        kept.append(r)
-        kept_lines.append(line_no)
-    if not kept:
+    # a row needs its label and categorical cells, and under "drop" all cells
+    needed = [label_idx] + [j for j in feat_idx
+                            if missing_policy == "drop" or not numeric[j]]
+    keep = [i for i, r in enumerate(cells) if all(r[j] is not None for j in needed)]
+    if not keep:
         raise CsvParseError("every row was dropped", line=1)
 
-    cols: List[np.ndarray] = []
-    for j in feat_idx:
-        cells = [r[j] for r in kept]
-        if numeric[j]:
-            vals = np.array(
-                [math.nan if _is_missing(c) else float(c) for c in cells]
-            )
-            if np.isnan(vals).any():
-                fill = float(np.nanmean(vals))
-                vals = np.where(np.isnan(vals), fill, vals)
-            cols.append(vals.reshape(-1, 1))
-        else:
-            cols.append(_encode_targets(cells))
-    x = np.hstack(cols)
+    def column(j) -> str:
+        return f"column {names[j] if names else j!r}"
 
-    label_cells = [r[label_idx] for r in kept]
+    def numbers(j) -> np.ndarray:
+        """The kept cells of numeric column j as floats, missing ones imputed."""
+        vals = np.array([cells[i][j] for i in keep], dtype=float)  # None reads as nan
+        for k in np.flatnonzero(~np.isfinite(vals)):
+            i = keep[k]
+            if cells[i][j] is not None:
+                raise CsvParseError(f"line {line_nos[i]}: non-finite number "
+                                    f"{rows[i][j]!r} in {column(j)}", line=line_nos[i])
+        gaps = np.isnan(vals)
+        if gaps.all():
+            raise CsvParseError(f"{column(j)} has no present cell to mean-impute")
+        return np.where(gaps, float(np.nanmean(vals)), vals)
+
     if kind == "regression":
-        vals = []
-        for c, line_no in zip(label_cells, kept_lines):
-            v = _parse_float(c)
-            if v is None:
-                raise CsvParseError(
-                    f"line {line_no}: non-numeric regression target {c!r}",
-                    line=line_no,
-                )
-            vals.append(v)
-        return Dataset(x, np.array(vals).reshape(-1, 1), None, "regression")
-    y = _encode_targets(label_cells)
-    return Dataset(x, y, tuple(sorted(set(label_cells))), "classification")
+        for i in keep:
+            if isinstance(cells[i][label_idx], str):
+                raise CsvParseError(f"line {line_nos[i]}: non-numeric regression "
+                                    f"target {rows[i][label_idx]!r}", line=line_nos[i])
+        y, classes = numbers(label_idx).reshape(-1, 1), None
+    else:
+        y, classes = _encode_targets([rows[i][label_idx] for i in keep])
+    x = np.hstack([numbers(j).reshape(-1, 1) if numeric[j]
+                   else _encode_targets([rows[i][j] for i in keep])[0]
+                   for j in feat_idx])
+    return Dataset(x, y, classes, kind)
 
 
-def _encode_targets(labels: Sequence) -> np.ndarray:
-    """One-hot 1/0 encode labels over their sorted distinct values; the
-    callers never pass zero labels."""
+def _encode_targets(labels: Sequence) -> Tuple[np.ndarray, tuple]:
+    """The 1/0 one-hot matrix of labels over their sorted distinct values,
+    and those values as a tuple; the callers never pass zero labels.
+    (np.unique would merge texts that differ only in trailing NULs.)"""
     classes = sorted(set(labels))
-    lookup = {c: j for j, c in enumerate(classes)}
+    index = {c: j for j, c in enumerate(classes)}
     y = np.zeros((len(labels), len(classes)))
-    for i, lab in enumerate(labels):
-        y[i, lookup[lab]] = 1.0
-    return y
+    y[np.arange(len(labels)), [index[c] for c in labels]] = 1.0
+    return y, tuple(classes)
 
 
 def stratified_kfold(ds: Dataset, plan: CvPlan):

@@ -21,7 +21,7 @@ SP = ActivationKind.softplus08()
 A = np.random.default_rng(0).uniform(-1, 1, (6, 3))
 Y = np.random.default_rng(1).uniform(0.2, 1.5, (6, 2))
 SPEC = build_spec("5-4^r3-2", 2, SP)
-CLASSES = Dataset(A[:, :2], _encode_targets([0, 1, 0, 1, 1, 0]), ("a", "b"),
+CLASSES = Dataset(A[:, :2], _encode_targets([0, 1, 0, 1, 1, 0])[0], ("a", "b"),
                   "classification")
 
 

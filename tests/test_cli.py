@@ -119,6 +119,40 @@ def test_out_of_range_label_column_exits_2(tmp_path, capsys, spiral_csv,
     assert code == 2
     assert "out of range" in stderr
 
+
+def test_consecutive_main_calls_in_one_process_stay_independent(tmp_path, capsys,
+                                                                 spiral_csv):
+    # main reuses one parser per process; no call may leak into the next
+    base = ["train", "--data", str(spiral_csv), "--structure", "10-3"]
+
+    def echo(name):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        return manifest["config_echo"]
+
+    assert main([*base, "--linear-output", "--out", str(tmp_path / "a")]) == 0
+    assert main([*base, "--out", str(tmp_path / "b")]) == 0
+    assert echo("a")["linear_output"] is True
+    assert echo("b")["linear_output"] is False
+    with pytest.raises(SystemExit) as exited:
+        main([*base, "--linear-output", "--no-such-flag"])
+    assert exited.value.code == 2
+    assert main([*base, "--linear-output", "--c", "x"]) == 2
+    assert main([*base, "--out", str(tmp_path / "c")]) == 0
+    assert echo("c") == echo("b")
+    assert ((tmp_path / "c" / "train_report.json").read_bytes()
+            == (tmp_path / "b" / "train_report.json").read_bytes())
+
+
+def test_mean_impute_of_an_all_missing_column_exits_2_with_one_line(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("1,?,a\n2,,b\n3,NA,a\n")
+    code, stdout, stderr = _run(capsys, "train", "--data", str(p), "--structure", "2",
+                                "--missing", "mean-impute", "--out", str(tmp_path / "r"))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {"error": {
+        "type": "invalid-input", "message": "column 1 has no present cell to mean-impute"}}
+
+
 def test_missing_required_flag_exits_2_with_structured_error(tmp_path, capsys):
     code, _, stderr = _run(capsys, "train", "--structure", "4-1",
                            "--out", str(tmp_path))

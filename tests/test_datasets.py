@@ -209,15 +209,88 @@ def test_load_csv_regression_targets_parse_as_floats(tmp_path):
         load_csv(bad, kind="regression")
 
 
+def test_load_csv_matches_loadtxt_and_the_file_on_iris():
+    ds = load_csv(IRIS)
+    assert ds.x.tobytes() == np.loadtxt(IRIS, delimiter=",", usecols=range(4)).tobytes()
+    names = [line.rsplit(",", 1)[1] for line in IRIS.read_text().splitlines()]
+    assert ds.class_labels == tuple(sorted(set(names)))
+    assert [ds.class_labels[k] for k in ds.labels] == names
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + IRIS.read_bytes())
+    ds, plain = load_csv(p), load_csv(IRIS)
+    assert ds.x.tobytes() == plain.x.tobytes() and ds.y.tobytes() == plain.y.tobytes()
+    assert ds.class_labels == plain.class_labels
+    # a byte-order mark used to make column 0 text, so one-hot encoded
+    p.write_text("\ufeff5.1,3.5,a\n4.9,3.0,b\n4.7,3.2,a\n", encoding="utf-8")
+    assert np.array_equal(load_csv(p).x, [[5.1, 3.5], [4.9, 3.0], [4.7, 3.2]])
+
+
+@pytest.mark.parametrize("text, kwargs, where", [
+    ("1,2,a\n3,inf,b\n", {}, "line 2: non-finite number 'inf' in column 1"),
+    ("1,2,a\n1e999,4,b\n", {}, "line 2: non-finite number '1e999' in column 0"),
+    ("x,y,c\n1,2,a\n3,-nan,b\n", dict(header=True),
+     "line 3: non-finite number '-nan' in column 'y'"),
+    ("1,2,3\n4,5,-inf\n", dict(kind="regression"),
+     "line 2: non-finite number '-inf' in column 2"),
+    ("1,2,3\n4,5,+NAN\n", dict(kind="auto"),
+     "line 2: non-finite number '\\+NAN' in column 2"),
+], ids=["inf-feature", "overflow-feature", "minus-nan-feature",
+        "inf-regression-label", "nan-auto-label"])
+def test_load_csv_non_finite_number_names_its_line_and_column(tmp_path, text,
+                                                             kwargs, where):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(CsvParseError, match=f"^{where}$") as err:
+        load_csv(p, **kwargs)
+    assert err.value.line == int(where.split()[1][:-1])
+
+
+def test_load_csv_non_finite_text_stays_a_category(tmp_path):
+    # "inf" in a column that also holds text is a category, not a number
+    p = tmp_path / "d.csv"
+    p.write_text("1,inf,a\n2,big,b\n3,inf,a\n")
+    assert np.array_equal(load_csv(p).x, [[1, 0, 1], [2, 1, 0], [3, 0, 1]])
+
+
+@pytest.mark.parametrize("text, header, column", [
+    ("1,?,a\n2,,b\n", False, "column 1"),
+    ("p,q,c\n1,NA,a\n2,nan,b\n", True, "column 'q'"),
+], ids=["by-index", "by-name"])
+def test_load_csv_mean_impute_of_an_all_missing_column_names_it(tmp_path, text,
+                                                               header, column):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    # the suite fails on any warning, so this also shows that no numpy
+    # "Mean of empty slice" warning comes before the error
+    with pytest.raises(CsvParseError, match=f"^{column} has no present cell"):
+        load_csv(p, header=header, missing_policy="mean-impute")
+    with pytest.raises(CsvParseError, match="every row was dropped"):
+        load_csv(p, header=header)
+
+
+def test_load_csv_one_column_file_is_a_parse_error(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("\n5\n6\n")
+    with pytest.raises(CsvParseError, match="^line 2: expected at least 2 fields") as err:
+        load_csv(p)
+    assert err.value.line == 2
+
+
 def test_encode_targets_sorted_classes_and_soft_scheme():
-    hard = _encode_targets(["b", "a", "b"])
+    hard, classes = _encode_targets(["b", "a", "b"])
     assert np.array_equal(hard, [[0, 1], [1, 0], [0, 1]])
+    assert classes == ("a", "b")
+    # texts that differ only in a trailing NUL stay two classes
+    assert _encode_targets(["a\x00", "a"])[1] == ("a", "a\x00")
 
 
 def test_stratified_kfold_staggers_small_classes_across_folds():
     # classes of size 5, 3 and 2 in 5 folds: the size-5 class lands once
     # per fold, the smaller classes spread over consecutive folds
-    y = _encode_targets([0] * 5 + [1] * 3 + [2] * 2)
+    y, _ = _encode_targets([0] * 5 + [1] * 3 + [2] * 2)
     x = np.arange(20.0).reshape(10, 2)
     ds = Dataset(x, y, ("c0", "c1", "c2"), "classification")
     folds = stratified_kfold(ds, CvPlan(folds=5, trials=1, seed=0))
@@ -239,7 +312,7 @@ def test_stratified_kfold_staggers_small_classes_across_folds():
 
 
 def test_stratified_kfold_rejects_more_folds_than_samples():
-    y = _encode_targets([0, 1])
+    y, _ = _encode_targets([0, 1])
     ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
     with pytest.raises(InvalidArgumentError):
         stratified_kfold(ds, CvPlan(folds=3, trials=1))
@@ -283,14 +356,14 @@ def test_expand_template_rejects_junk():
 
 
 def test_training_targets_soften_labels_for_invertible_outputs():
-    y = _encode_targets([0, 1])
+    y, _ = _encode_targets([0, 1])
     ds = Dataset(np.eye(2), y, ("a", "b"), "classification")
     soft = training_targets(ds, linear_output=False)
     assert np.array_equal(soft, [[0.9, 0.1], [0.1, 0.9]])
     raw = training_targets(ds, linear_output=True)
     assert np.array_equal(raw, y)
     # a subset without class "a" keeps both columns
-    part = Dataset(np.eye(3), _encode_targets([0, 1, 2]), None,
+    part = Dataset(np.eye(3), _encode_targets([0, 1, 2])[0], None,
                    "classification").subset([1, 2])
     assert np.array_equal(training_targets(part, linear_output=False),
                           [[0.1, 0.9, 0.1], [0.1, 0.1, 0.9]])
@@ -301,7 +374,7 @@ def test_training_targets_soften_labels_for_invertible_outputs():
 ], ids=["floats", "bools", "past-the-end", "set", "object", "negative", "empty",
         "2-d"])
 def test_subset_takes_only_row_numbers(indices):
-    ds = Dataset(np.eye(3), _encode_targets([0, 1, 2]), None, "classification")
+    ds = Dataset(np.eye(3), _encode_targets([0, 1, 2])[0], None, "classification")
     with pytest.raises(InvalidArgumentError, match="indices"):
         ds.subset(indices)
     picked = ds.subset(np.array([2, 0]))
@@ -314,7 +387,7 @@ def test_cv_search_runs_when_a_training_portion_misses_a_class(monkeypatch):
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
     rng = np.random.default_rng(0)
     ds = Dataset(rng.standard_normal((13, 2)),
-                 _encode_targets([0] * 6 + [1] * 6 + [2]), None,
+                 _encode_targets([0] * 6 + [1] * 6 + [2])[0], None,
                  "classification")
     plan = CvPlan(folds=3, trials=1, seed=0, stratified=True)
     result = cv_search(ds, ["h-q"], [2], plan,
@@ -324,7 +397,7 @@ def test_cv_search_runs_when_a_training_portion_misses_a_class(monkeypatch):
 
 
 def test_accuracy_counts_argmax_matches():
-    y = _encode_targets([0, 1, 1])
+    y, _ = _encode_targets([0, 1, 1])
     ds = Dataset(np.eye(3)[:, :2] * 1.0, y, ("a", "b"),
                  "classification")
     pred = np.array([[0.8, 0.2], [0.6, 0.4], [0.1, 0.9]])

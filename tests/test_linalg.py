@@ -288,7 +288,7 @@ def test_csv_bytes_match_the_reference_row_loop(tmp_path):
 def test_dataset_and_variance_csv_bytes_match_the_reference_row_loop(tmp_path):
     x = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [3.0, -2.5]])
     names = ("größe", "naïve")
-    ds = Dataset(x, _encode_targets([1, 0, 1]), names, "classification")
+    ds = Dataset(x, _encode_targets([1, 0, 1])[0], names, "classification")
     path = tmp_path / "d.csv"
     write_dataset_csv(ds, path)
     assert path.read_bytes() == _reference_rows(x, ["naïve", "größe", "naïve"])
