@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -191,10 +192,27 @@ def _read_cell(cell: str):
         return cell
 
 
+def _not_utf8(path) -> Optional[CsvParseError]:
+    """The CsvParseError for a file that is not UTF-8, naming the file line
+    of its first bad byte, or None if the file now decodes. The decoder
+    reads in chunks, so the line is counted here from the byte offset;
+    lines end at \\r\\n, \\r or \\n, as csv.reader counts them."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n?|\n", raw[:exc.start])) + 1
+        return CsvParseError(f"line {line}: byte {raw[exc.start]:#04x} at offset "
+                             f"{exc.start} is not UTF-8", line=line)
+    return None
+
+
 def load_csv(path, label_column=-1, header: bool = False,
              missing_policy: str = "drop", kind: str = "classification") -> Dataset:
     """Read a delimited UTF-8 dataset file; a leading byte-order mark is
-    skipped.
+    skipped, and a byte that is not UTF-8 raises CsvParseError naming its
+    file line.
 
     Each cell is read once, stripped of spaces, as missing (empty, "?",
     "NA" or "NaN", in any case), a float, or text. A column is numeric
@@ -220,23 +238,26 @@ def load_csv(path, label_column=-1, header: bool = False,
     cells: List[list] = []  # the same cells, each read once by _read_cell
     line_nos: List[int] = []  # the 1-based file line of each data row
     names: Optional[List[str]] = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            # the file line the record ends on, also past quoted newlines
-            line_no = reader.line_num
-            if not row:
-                continue
-            row = [c.strip() for c in row]
-            if header and names is None:
-                names = row
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise CsvParseError(f"line {line_no}: expected {len(rows[0])} fields, "
-                                    f"got {len(row)}", line=line_no)
-            rows.append(row)
-            cells.append([_read_cell(c) for c in row])
-            line_nos.append(line_no)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                # the file line the record ends on, also past quoted newlines
+                line_no = reader.line_num
+                if not row:
+                    continue
+                row = [c.strip() for c in row]
+                if header and names is None:
+                    names = row
+                    continue
+                if rows and len(row) != len(rows[0]):
+                    raise CsvParseError(f"line {line_no}: expected {len(rows[0])} fields, "
+                                        f"got {len(row)}", line=line_no)
+                rows.append(row)
+                cells.append([_read_cell(c) for c in row])
+                line_nos.append(line_no)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) or exc from None
     if not rows:
         raise CsvParseError("no data rows", line=1)
     ncols = len(rows[0])

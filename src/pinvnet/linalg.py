@@ -6,6 +6,7 @@ cannot express.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -201,12 +202,178 @@ def write_matrix_csv(a, path) -> None:
 
 
 def _write_csv(path, rows: np.ndarray, labels=None) -> None:
-    """The one CSV writer: each row of `rows` at 17 significant digits,
-    then, when `labels` is given, one text cell per row."""
+    """The one CSV writer: each row of float64 `rows` as `"%.17g"` cells,
+    then, when `labels` is given, one text cell per row. Rows are
+    formatted and written a block of about _CSV_BLOCK values at a time."""
     _check_type("path", path, _PATH)
-    fmt = "%.17g"
-    if labels is not None:
-        fmt = [fmt] * rows.shape[1] + ["%s"]
-        rows = np.column_stack([rows.astype(object), labels])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt=fmt, delimiter=",")
+    step = max(1, _CSV_BLOCK // rows.shape[1])
+    labels = None if labels is None else [label.encode("utf-8") for label in labels]
+    with open(path, "wb") as fh:
+        for i in range(0, rows.shape[0], step):
+            text = _format_rows(rows[i:i + step])
+            if labels is not None:
+                text = b"".join(b"%s,%s\n" % pair for pair in
+                                zip(text.split(b"\n"), labels[i:i + step]))
+            fh.write(text)
+
+
+# The formatter lays each value out in one 48-byte cell of six 8-byte
+# words, NUL where the value has no character: the sign, the "0.000" of a
+# small fixed-point value, the first digit and a '.' slot after it; four
+# words of four digits, each digit followed by a '.' slot; the exponent,
+# and the separator in the cell's last byte. Deleting the NULs leaves the
+# text. Which bytes a value keeps depends only on its count of significant
+# digits and on its decimal exponent e, and no byte depends on e outside
+# -5..17 but the exponent's own: the tables are indexed by those.
+_CSV_BLOCK = 4096  # values per block: bounds the formatter's memory
+_E10 = 260  # the power and exponent tables span e in -_E10.._E10
+_COLUMNS = 23  # layout columns: e <= -5, then -4, ..., 16, then e >= 17
+_CELL = 48
+_SPLITTER = 2.0 ** 27 + 1.0
+
+
+def _split(a):
+    """a = hi + lo with each half of 26 significant bits or fewer (Dekker)."""
+    t = a * _SPLITTER
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _csv_tables():
+    """The formatter's tables, built on the first write; the byte tables
+    are viewed as native-order uint64 words, as the cells are.
+
+    powers: 10^(16 - e) per e as [hi, hi's two Dekker halves, lo], the
+        double-double hi + lo within 2^-106 of it.
+    quads: the word "d.d.d.d." per four-digit number.
+    ends: per (quad j, number q), the significant digits through q's last
+        nonzero digit, 1 when q is 0.
+    column: per e, its layout column.
+    masks: per (digits, column), the four words' bytes that are kept, one
+        row per word.
+    heads: per (sign, digits, column), the first word without its digit.
+    firsts: per first digit, the first word's digit byte.
+    tails: per e, the exponent word, empty where %g prints fixed point.
+    """
+    es = range(-_E10, _E10 + 1)
+    hi, lo = np.empty(len(es)), np.empty(len(es))
+    for i, e in enumerate(es):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi[i] = num / den  # int / int is correctly rounded
+        a, b = hi[i].as_integer_ratio()
+        lo[i] = (num * b - a * den) / (den * b)
+    powers = np.column_stack([hi, *_split(hi), lo])
+
+    def words(b):
+        return np.ascontiguousarray(b, np.uint8).view(np.uint64).reshape(b.shape[:-1])
+
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1])) % 10
+    quads = np.full((10000, 8), ord("."), np.uint8)
+    quads[:, ::2] = digits + ord("0")
+    nonzero = digits[:, ::-1] != 0
+    last = np.where(nonzero.any(axis=1), 4 - nonzero.argmax(axis=1), 0)
+    ends = np.where(last > 0, np.arange(1, 17, 4)[:, None] + last, 1).astype(np.uint8)
+    column = np.clip(np.arange(-_E10, _E10 + 1), -5, 17) + 5
+
+    masks = np.zeros((18, _COLUMNS, 4, 8), np.uint8)
+    heads = np.zeros((2, 18, _COLUMNS, 8), np.uint8)
+    heads[1, ..., 0] = ord("-")
+    for n in range(1, 18):
+        for col, e in enumerate(range(-5, 18)):
+            # %g prints e < -4 or e >= 17 with one digit before the '.',
+            # fixed point with e + 1 digits before it, or "0." and none
+            before = 1 if e < -4 or e >= 17 else max(e + 1, 0)
+            for g in range(1, max(n, before)):  # digit 0 is the first word's
+                masks[n, col, (g - 1) // 4, 2 * ((g - 1) % 4)] = 255
+            if before < n and before > 1:  # the '.' after digit before - 1
+                g = before - 1
+                masks[n, col, (g - 1) // 4, 2 * ((g - 1) % 4) + 1] = 255
+            if before < n and before == 1:
+                heads[:, n, col, 7] = ord(".")
+            if before == 0:
+                prefix = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+                heads[:, n, col, 1:1 + len(prefix)] = prefix
+    firsts = np.zeros((10, 8), np.uint8)
+    firsts[:, 6] = np.arange(10) + ord("0")
+    tails = np.zeros((len(es), 8), np.uint8)
+    for e in es:
+        if e < -4 or e >= 17:
+            text = np.frombuffer(b"e%+03d" % e, np.uint8)
+            tails[e + _E10, :len(text)] = text
+    return (powers, words(quads), ends.ravel(), column,
+            words(masks).reshape(-1, 4).T.copy(), words(heads).ravel(), words(firsts),
+            words(tails))
+
+
+def _scaled(a: np.ndarray, power: np.ndarray):
+    """floor and fraction of a * 10^(16 - e), `power` the rows of
+    `powers` for e: the product with the power's high part is exact as
+    Dekker's split product (Numer. Math. 18, 1971), the whole to within
+    about 1e-14."""
+    p_hi, b1, b2, p_lo = power.T
+    p = a * p_hi
+    a1, a2 = _split(a)
+    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    whole = np.floor(p)
+    f = ((p - whole) + err) + a * p_lo
+    f_whole = np.floor(f)
+    return whole.astype(np.int64) + f_whole.astype(np.int64), f - f_whole
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The bytes of `"%.17g"` for each value of float64 `rows`, comma
+    separated, one line per row.
+
+    A value is scaled to a 17-digit integer by 10^(16 - e), e from its
+    log10 and corrected by one where the scaled value falls outside
+    [1e16, 1e17), then rounded and laid out by `%g`'s rules. Python's
+    formatter takes the values the scaling does not settle: zeros,
+    non-finite values, |x| outside [1e-250, 1e250], and those whose
+    fraction lies within 1e-9 of one half, exact ties included.
+    """
+    powers, quads, ends, column, masks, heads, firsts, tails = _csv_tables()
+    x = rows.ravel()
+    mag = np.abs(x)
+    fast = (mag >= 1e-250) & (mag <= 1e250)  # NaN fails both
+    mag = np.where(fast, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.intp)
+    num, frac = _scaled(mag, powers.take(e + _E10, axis=0))
+    off = np.flatnonzero((num < 10**16) | (num >= 10**17))
+    if off.size:
+        e[off] += np.where(num[off] < 10**16, -1, 1)
+        num[off], frac[off] = _scaled(mag[off], powers.take(e[off] + _E10, axis=0))
+        fast &= (num >= 10**16) & (num < 10**17)
+    fast &= np.abs(frac - 0.5) >= 1e-9
+    num += frac > 0.5
+    carry = num == 10**17  # rounded up to one more digit
+    num[carry] = 10**16
+    e += carry + _E10  # from here on, the tables' row
+
+    # the first digit, and the other 16 as four four-digit numbers
+    high = num // 10**8
+    halves = np.stack([high, num - high * 10**8])
+    lead = high // 10**8
+    halves[0] -= lead * 10**8
+    quad = np.empty((4, x.size), np.intp)
+    quad[::2] = halves // 10**4
+    quad[1::2] = halves - quad[::2] * 10**4
+    ndigits = ends.take(quad + np.arange(0, 40000, 10000)[:, None]).max(axis=0)
+    layout = ndigits.astype(np.intp) * _COLUMNS + column.take(e)
+    cells = np.empty((x.size, _CELL // 8), np.uint64)
+    cells[:, 0] = heads.take((x < 0) * masks.shape[1] + layout) | firsts.take(lead)
+    cells[:, 1:5] = (quads.take(quad) & masks.take(layout, axis=1)).T
+    cells[:, 5] = tails.take(e)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        bits, which = np.unique(x[slow].view(np.uint64), return_inverse=True)
+        text = np.zeros((bits.size, _CELL), np.uint8)
+        for k, v in enumerate(bits.view(np.float64)):
+            s = b"%.17g" % v
+            text[k, :len(s)] = np.frombuffer(s, np.uint8)
+        cells[slow] = text.view(np.uint64)[which.ravel()]
+    out = cells.view(np.uint8).reshape(*rows.shape, _CELL)
+    out[..., -1] = ord(",")
+    out[:, -1, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")

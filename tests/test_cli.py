@@ -153,6 +153,16 @@ def test_mean_impute_of_an_all_missing_column_exits_2_with_one_line(tmp_path, ca
         "type": "invalid-input", "message": "column 1 has no present cell to mean-impute"}}
 
 
+def test_a_data_file_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"1.0,2.0,caf\xe9")
+    code, stdout, stderr = _run(capsys, "train", "--data", str(p), "--structure", "4-2",
+                                "--out", str(tmp_path / "r"))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {"error": {
+        "type": "invalid-input", "message": "line 1: byte 0xe9 at offset 11 is not UTF-8"}}
+
+
 def test_missing_required_flag_exits_2_with_structured_error(tmp_path, capsys):
     code, _, stderr = _run(capsys, "train", "--structure", "4-1",
                            "--out", str(tmp_path))

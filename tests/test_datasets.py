@@ -279,6 +279,16 @@ def test_load_csv_one_column_file_is_a_parse_error(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_csv_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
+    p = tmp_path / "d.csv"
+    # past the decoder's first chunk, after \r\n, \r and \n line ends
+    p.write_bytes(b"1,2,a\r\n" * 3000 + b"3,4,b\r5,6,b\n7,8,caf\xe9\n")
+    with pytest.raises(CsvParseError, match="^line 3003: byte 0xe9 at offset 21019 "
+                                            "is not UTF-8$") as err:
+        load_csv(p)
+    assert err.value.line == 3003
+
+
 def test_encode_targets_sorted_classes_and_soft_scheme():
     hard, classes = _encode_targets(["b", "a", "b"])
     assert np.array_equal(hard, [[0, 1], [1, 0], [0, 1]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pinvnet.linalg import (
     _EPS,
     _pinv_array,
     _pinv_or_inverse,
+    _write_csv,
     penrose_residual,
     pinv,
     sse,
@@ -299,6 +302,69 @@ def test_dataset_and_variance_csv_bytes_match_the_reference_row_loop(tmp_path):
     assert path.read_bytes() == _reference_rows(
         [(k + 1, m, s) for k, (m, s) in enumerate(zip(report.per_depth_mean,
                                                       report.per_depth_std))])
+
+
+def _sweep_values(rng) -> np.ndarray:
+    """Values whose "%.17g" text the vectorized formatter must reproduce:
+    random 64-bit patterns (NaN, infinities and subnormals among them),
+    every power of ten and its 3 neighbours on each side, integers of 1 to
+    17 digits at decimal exponents about %g's fixed/exponent thresholds,
+    and exact ties at the 17th digit, m + k / 2^j with 18 - j digits in m."""
+    bits = rng.integers(0, 2**64, 40000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near, up, down = [powers], powers, powers
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    digits = rng.integers(1, 18, 20000)
+    layout = (rng.integers(1, 10 ** digits, dtype=np.int64).astype(float)
+              * 10.0 ** rng.integers(-25, 5, 20000))
+    ties = []
+    for j in range(2, 18):
+        m = rng.integers(10 ** (17 - j), min(10 ** (18 - j), 2 ** (53 - j)), 500)
+        ties.append(m + (2 * rng.integers(0, 2 ** (j - 1), 500) + 1) / 2.0 ** j)
+    values = np.concatenate([bits, *near, layout, *ties, [0.0, -0.0]])
+    # a random sign, by its bit: arithmetic on a signalling NaN would warn
+    signs = rng.integers(0, 2, values.size, dtype=np.uint64) << np.uint64(63)
+    return (values.view(np.uint64) ^ signs).view(np.float64)
+
+
+def test_csv_writer_matches_the_reference_on_a_seeded_sweep(tmp_path):
+    values = _sweep_values(np.random.default_rng(7))
+    rows = np.concatenate([values, np.zeros(-values.size % 9)]).reshape(-1, 9)
+    path = tmp_path / "s.csv"
+    _write_csv(path, rows)  # several blocks of 4096 values
+    assert path.read_bytes() == _reference_rows(rows)
+
+
+def test_variance_and_labelled_dataset_csv_match_the_reference(tmp_path):
+    path = tmp_path / "v.csv"
+    report = VarianceReport((np.inf, np.nan, -np.inf, 2.5), (0.0, -0.0, np.nan, 1e-300),
+                            (1, 1, 1, 1))
+    write_variance_csv(report, path)
+    assert path.read_bytes() == _reference_rows(
+        [(k + 1, m, s) for k, (m, s) in enumerate(zip(report.per_depth_mean,
+                                                      report.per_depth_std))])
+    # names with a comma, a quote and a line break are quoted; rows span blocks
+    names = ('größe, "x"', "naïve\nzwei", "ok")
+    fields = ('"größe, ""x"""', '"naïve\nzwei"', "ok")
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5000, 2)) * 10.0 ** rng.integers(-6, 20, (5000, 2))
+    labels = rng.integers(0, 3, 5000)
+    write_dataset_csv(Dataset(x, _encode_targets(labels)[0], names, "classification"), path)
+    assert path.read_bytes() == _reference_rows(x, [fields[k] for k in labels])
+
+
+def test_csv_writer_memory_stays_well_below_the_text_size(tmp_path):
+    a = np.random.default_rng(9).standard_normal((3000, 300))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_matrix_csv(a, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 15e6 and peak < 5e6
 
 
 def test_eps_is_float64_machine_epsilon():
